@@ -19,7 +19,6 @@ original netlist — the only fallback that is sound for diameter
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -28,7 +27,6 @@ from ..cert import certification_enabled
 from ..netlist import Netlist
 from ..resilience import Budget, Cancelled, CertificationFailure, \
     EngineFailure
-from ..sat import flat_enabled, use_flat
 from ..transform.localize_cegar import localization_refinement
 from ..unroll import Counterexample, FALSIFIED as BMCFALSIFIED, \
     PROVEN as BMC_PROVEN, bmc, k_induction
@@ -50,7 +48,7 @@ class ProofResult:
     structured cause (one of
     :data:`repro.resilience.EXHAUSTION_REASONS`, ``"failure"`` for an
     engine crash, or ``"certification"`` when a verdict failed its
-    proof/witness check on both solver cores).
+    proof/witness check).
     """
 
     status: str
@@ -121,50 +119,6 @@ def _race_probes(net: Netlist, target: int, quick_bmc_depth: int,
     return outcomes[0], outcomes[1]
 
 
-def _cert_retry(reg, budget: Optional[Budget], phase: str, call):
-    """One-shot cross-core arbitration after a certification failure.
-
-    The failed verdict came from the current solver core, so the most
-    informative retry is the *other* core: a genuine solver bug fails
-    again (the checker is core-independent) while a transient flake
-    recovers.  The retry runs under whatever budget survives, after a
-    tiny budget-capped backoff; with the budget already exhausted the
-    arbitration gives up immediately.  A second
-    :class:`CertificationFailure` (or any :class:`EngineFailure`)
-    propagates to the caller's degradation path.
-    """
-    reg.counter("cert.retried")
-    reg.event("cert.retry", phase=phase,
-              retry_core="legacy" if flat_enabled() else "flat")
-    delay = 0.05
-    if budget is not None:
-        if budget.cancelled:
-            raise Cancelled(budget_name=budget.name)
-        reason = budget.exhausted()
-        if reason is not None:
-            raise CertificationFailure(
-                phase, stage="arbitration",
-                message=f"budget exhausted ({reason}) before the "
-                        "cross-core retry")
-        remaining = budget.remaining_seconds()
-        if remaining is not None:
-            delay = max(0.0, min(delay, remaining * 0.1))
-    if delay:
-        time.sleep(delay)
-    with use_flat(not flat_enabled()):
-        result = call()
-    reg.counter("cert.recovered")
-    return result
-
-
-def _run_certified(reg, budget: Optional[Budget], phase: str, call):
-    """Run an engine call, arbitrating one certification failure."""
-    try:
-        return call()
-    except CertificationFailure:
-        return _cert_retry(reg, budget, phase, call)
-
-
 def prove(
     net: Netlist,
     target: Optional[int] = None,
@@ -194,14 +148,13 @@ def prove(
     bound (see the module docstring) instead of raising.  Only
     :class:`Cancelled` propagates.
 
-    Certification arbitration: when verdict certification is armed
+    Certification: when verdict certification is armed
     (:func:`repro.cert.use_certification` or ``REPRO_CERT``), a
-    :class:`repro.resilience.CertificationFailure` from BMC or
-    k-induction triggers ONE retry of that engine call on the other
-    solver core under the surviving budget (``cert.retried`` /
-    ``cert.recovered`` counters); a second failure degrades to the
-    structural bound with ``exhaustion_reason="certification"`` —
-    the same never-lie posture as an engine crash.
+    :class:`repro.resilience.CertificationFailure` from any engine
+    call degrades to the structural bound with
+    ``exhaustion_reason="certification"`` — the same never-lie posture
+    as an engine crash.  There is no retry: the solver is
+    deterministic, so a re-run would only repeat a real bug.
 
     ``jobs > 1`` parallelizes the independent engine calls
     (:mod:`repro.parallel`): the portfolio strategies fan out across
@@ -239,6 +192,15 @@ def prove(
                            bound=bound, strategy=strategy, log=log,
                            seconds=watch.elapsed, degraded=True,
                            exhaustion_reason=reason)
+
+    def failed(best: Optional[int], strategy: Optional[str],
+               error: BaseException) -> ProofResult:
+        """Degrade on an engine error (in-process or from a racing
+        worker), keeping a certification failure distinct from a
+        crash."""
+        reason = "certification" \
+            if isinstance(error, CertificationFailure) else "failure"
+        return degraded(best, strategy, reason, str(error))
 
     def gate(best: Optional[int], strategy: Optional[str],
              phase: str) -> Optional[ProofResult]:
@@ -279,16 +241,11 @@ def prove(
                 return stop
             try:
                 with reg.span("complete-bmc"):
-                    check = _run_certified(
-                        reg, budget, "complete-bmc",
-                        lambda: bmc(net, target, max_depth=bound,
-                                    complete_bound=bound,
-                                    budget=budget, use_cubes=cubes))
-            except CertificationFailure as exc:
-                return degraded(bound, strategy, "certification",
-                                str(exc))
+                    check = bmc(net, target, max_depth=bound,
+                                complete_bound=bound, budget=budget,
+                                use_cubes=cubes)
             except EngineFailure as exc:
-                return degraded(bound, strategy, "failure", str(exc))
+                return failed(bound, strategy, exc)
             log.append(f"complete BMC to {bound}: {check.status}")
             if check.status == BMC_PROVEN:
                 reg.counter("prove.proven.complete-bmc")
@@ -313,40 +270,16 @@ def prove(
             quick_out, induct_out = _race_probes(
                 net, target, quick_bmc_depth, induction_k, budget,
                 jobs, cubes)
-            if isinstance(quick_out.error, CertificationFailure):
-                # Worker-side certification failure: arbitrate
-                # in-process on the other core, like the sequential
-                # path would.
-                try:
-                    quick = _cert_retry(
-                        reg, budget, "quick-bmc",
-                        lambda: bmc(net, target,
-                                    max_depth=quick_bmc_depth,
-                                    budget=budget, use_cubes=cubes))
-                except CertificationFailure as exc:
-                    return degraded(bound, strategy, "certification",
-                                    str(exc))
-                except EngineFailure as exc:
-                    return degraded(bound, strategy, "failure",
-                                    str(exc))
-            elif quick_out.error is not None:
-                return degraded(bound, strategy, "failure",
-                                str(quick_out.error))
-            else:
-                quick = quick_out.value
+            if quick_out.error is not None:
+                return failed(bound, strategy, quick_out.error)
+            quick = quick_out.value
         else:
             try:
                 with reg.span("quick-bmc"):
-                    quick = _run_certified(
-                        reg, budget, "quick-bmc",
-                        lambda: bmc(net, target,
-                                    max_depth=quick_bmc_depth,
-                                    budget=budget, use_cubes=cubes))
-            except CertificationFailure as exc:
-                return degraded(bound, strategy, "certification",
-                                str(exc))
+                    quick = bmc(net, target, max_depth=quick_bmc_depth,
+                                budget=budget, use_cubes=cubes)
             except EngineFailure as exc:
-                return degraded(bound, strategy, "failure", str(exc))
+                return failed(bound, strategy, exc)
         log.append(f"quick BMC to {quick_bmc_depth}: {quick.status}")
         if quick.status == BMCFALSIFIED:
             reg.counter("prove.falsified.bmc")
@@ -355,42 +288,19 @@ def prove(
                                log=log, seconds=watch.elapsed)
 
         if jobs > 1:
-            if isinstance(induct_out.error, CertificationFailure):
-                try:
-                    induct = _cert_retry(
-                        reg, budget, "k-induction",
-                        lambda: k_induction(net, target,
-                                            max_k=induction_k,
-                                            budget=budget,
-                                            use_cubes=cubes))
-                except CertificationFailure as exc:
-                    return degraded(bound, strategy, "certification",
-                                    str(exc))
-                except EngineFailure as exc:
-                    return degraded(bound, strategy, "failure",
-                                    str(exc))
-            elif induct_out.error is not None:
-                return degraded(bound, strategy, "failure",
-                                str(induct_out.error))
-            else:
-                induct = induct_out.value
+            if induct_out.error is not None:
+                return failed(bound, strategy, induct_out.error)
+            induct = induct_out.value
         else:
             stop = gate(bound, strategy, "k-induction")
             if stop is not None:
                 return stop
             try:
                 with reg.span("k-induction"):
-                    induct = _run_certified(
-                        reg, budget, "k-induction",
-                        lambda: k_induction(net, target,
-                                            max_k=induction_k,
-                                            budget=budget,
-                                            use_cubes=cubes))
-            except CertificationFailure as exc:
-                return degraded(bound, strategy, "certification",
-                                str(exc))
+                    induct = k_induction(net, target, max_k=induction_k,
+                                         budget=budget, use_cubes=cubes)
             except EngineFailure as exc:
-                return degraded(bound, strategy, "failure", str(exc))
+                return failed(bound, strategy, exc)
         log.append(f"k-induction to k={induction_k}: {induct.status}")
         if induct.status == BMC_PROVEN:
             reg.counter("prove.proven.k-induction")
@@ -431,15 +341,8 @@ def prove(
                         FALSIFIED, "localization", target, bound=bound,
                         counterexample=concrete.counterexample,
                         log=log, seconds=watch.elapsed)
-        except CertificationFailure as exc:
-            # Localization re-runs concrete BMC internally; its
-            # certification failures degrade without a core retry
-            # (the refinement loop is not idempotent enough to
-            # replay wholesale).
-            return degraded(bound, strategy, "certification",
-                            str(exc))
         except EngineFailure as exc:
-            return degraded(bound, strategy, "failure", str(exc))
+            return failed(bound, strategy, exc)
 
     reg.counter("prove.unknown")
     return ProofResult(UNKNOWN, "exhausted", target, bound=bound,

@@ -94,6 +94,24 @@ def _parse_header(line: str) -> Tuple[int, ...]:
     return tuple(counts)
 
 
+def _fields(line: str, what: str, count: int,
+            optional: int = 0) -> List[int]:
+    """The leading ``count`` required and up to ``optional`` further
+    fields of an AIGER body line, as non-negative integers (fields
+    beyond those are ignored)."""
+    parts = line.split()[:count + optional]
+    if len(parts) < count:
+        raise NetlistError(f"malformed AIGER {what} line: {line!r}")
+    try:
+        values = [int(p) for p in parts]
+    except ValueError as exc:
+        raise NetlistError(
+            f"malformed AIGER {what} line: {line!r}") from exc
+    if any(v < 0 for v in values):
+        raise NetlistError(f"malformed AIGER {what} line: {line!r}")
+    return values
+
+
 def _parse_ascii(text: str, name: str) -> AIG:
     """Parse ASCII AIGER text into an :class:`AIG`."""
     lines = [ln.rstrip("\n") for ln in text.splitlines()]
@@ -106,11 +124,15 @@ def _parse_ascii(text: str, name: str) -> AIG:
     if len(body) < i + l + o + b + a:
         raise NetlistError("truncated AIGER body")
 
-    input_lits = [int(body[k].split()[0]) for k in range(i)]
-    latch_lines = [body[i + k].split() for k in range(l)]
-    output_lits = [int(body[i + l + k].split()[0]) for k in range(o)]
-    bad_lits = [int(body[i + l + o + k].split()[0]) for k in range(b)]
-    and_lines = [body[i + l + o + b + k].split() for k in range(a)]
+    input_lits = [_fields(body[k], "input", 1)[0] for k in range(i)]
+    latch_lines = [_fields(body[i + k], "latch", 2, optional=1)
+                   for k in range(l)]
+    output_lits = [_fields(body[i + l + k], "output", 1)[0]
+                   for k in range(o)]
+    bad_lits = [_fields(body[i + l + o + k], "bad-state", 1)[0]
+                for k in range(b)]
+    and_lines = [_fields(body[i + l + o + b + k], "AND", 3)
+                 for k in range(a)]
     symbols = body[i + l + o + b + a:]
 
     aig = AIG(name)
@@ -126,9 +148,8 @@ def _parse_ascii(text: str, name: str) -> AIG:
         lit_map[lit] = aig.add_input()
     latch_next: List[Tuple[int, int]] = []
     for parts in latch_lines:
-        lit = int(parts[0])
-        nxt = int(parts[1])
-        init = int(parts[2]) if len(parts) > 2 else 0
+        lit, nxt = parts[0], parts[1]
+        init = parts[2] if len(parts) > 2 else 0
         if init not in (0, 1):
             raise NetlistError(
                 f"unsupported latch initial value {init} (only 0/1)")
@@ -139,7 +160,7 @@ def _parse_ascii(text: str, name: str) -> AIG:
 
     # AND definitions may appear in any order in aag; resolve by
     # repeated passes (the dependency graph is acyclic by construction).
-    pending = [(int(p[0]), int(p[1]), int(p[2])) for p in and_lines]
+    pending = [tuple(p) for p in and_lines]
     for lhs, _, _ in pending:
         if lhs & 1 or lhs == 0:
             raise NetlistError(f"invalid AND lhs literal {lhs}")
@@ -189,6 +210,10 @@ def _parse_binary(data: bytes, name: str) -> AIG:
             f"malformed binary AIGER header: M ({m}) must equal "
             f"I + L + A ({i + l + a})")
     pos = end + 1
+    # Every latch/output/bad line and every AND takes at least two
+    # bytes: reject impossible counts before allocating for them.
+    if 2 * (l + o + b + a) > len(data) - pos:
+        raise NetlistError("truncated AIGER body")
 
     def next_line() -> str:
         nonlocal pos
@@ -208,17 +233,17 @@ def _parse_binary(data: bytes, name: str) -> AIG:
         lit_of[var] = aig.add_input()
     latch_next: List[int] = []
     for k in range(l):
-        parts = next_line().split()
-        if not parts:
-            raise NetlistError("malformed binary AIGER latch line")
-        init = int(parts[1]) if len(parts) > 1 else 0
+        parts = _fields(next_line(), "latch", 1, optional=1)
+        init = parts[1] if len(parts) > 1 else 0
         if init not in (0, 1):
             raise NetlistError(
                 f"unsupported latch initial value {init} (only 0/1)")
         lit_of[i + k + 1] = aig.add_latch(init)
-        latch_next.append(int(parts[0]))
-    output_lits = [int(next_line()) for _ in range(o)]
-    bad_lits = [int(next_line()) for _ in range(b)]
+        latch_next.append(parts[0])
+    output_lits = [_fields(next_line(), "output", 1)[0]
+                   for _ in range(o)]
+    bad_lits = [_fields(next_line(), "bad-state", 1)[0]
+                for _ in range(b)]
 
     def read_delta() -> int:
         nonlocal pos
@@ -277,7 +302,11 @@ def _apply_symbols(aig: AIG, symbols: List[str],
         if not line or line[0] == "c":
             break
         kind, _, rest = line.partition(" ")
-        if not rest or kind[0] not in "ilob" or not kind[1:].isdigit():
+        if not kind:
+            raise NetlistError(f"malformed AIGER symbol line: {line!r}")
+        # Well-formed symbols of other kinds (e.g. AIGER 1.9 j/f) and
+        # out-of-range indices are skipped.
+        if not rest or kind[0] not in "ilob" or not kind[1:].isdecimal():
             continue
         idx = int(kind[1:])
         if kind[0] == "i" and idx < len(ordered_inputs):

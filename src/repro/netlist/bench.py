@@ -117,6 +117,9 @@ def parse_bench(text: str, name: str = "bench") -> Netlist:
         if op == "DFF":
             if len(fanins) != 1:
                 raise NetlistError(f"DFF {lhs} must have exactly one fanin")
+            if fanins[0] not in vid_by_signal:
+                raise NetlistError(
+                    f"DFF {lhs} reads undefined signal {fanins[0]!r}")
             reg = vid_by_signal[lhs]
             init = net.gate(reg).fanins[1]
             net.set_fanins(reg, (vid_by_signal[fanins[0]], init))

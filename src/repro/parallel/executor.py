@@ -486,8 +486,8 @@ class ParallelExecutor:
                     prefix=f"parallel/{self.name}/{outcome.label}")
                 counters = outcome.snapshot.get("counters", {})
                 # Certification telemetry stays globally additive:
-                # the arbitration layer and the bench certification
-                # section read the top-level ``cert.*`` counters, so
+                # reports and the bench certification section read
+                # the top-level ``cert.*`` counters, so
                 # worker-side checks fold in un-prefixed too.
                 for key, delta in counters.items():
                     if key.startswith("cert.") and delta:

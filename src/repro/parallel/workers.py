@@ -124,8 +124,8 @@ def run_bmc_probe(payload: Dict[str, Any],
     worker never relies on inheriting process globals across the pool
     boundary.  A
     :class:`repro.resilience.CertificationFailure` propagates to the
-    shim, surfaces as the outcome's ``error``, and re-enters the
-    parent's cross-core arbitration.
+    shim, surfaces as the outcome's ``error``, and the parent degrades
+    it to the structural bound.
     """
     from ..unroll import bmc
 

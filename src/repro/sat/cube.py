@@ -33,7 +33,7 @@ Error precedence at the join (the rule the first satellite pins): a
 *verdict* always beats a loser's bookkeeping — a cube cancelled by the
 first-win event or resourced-out after another cube went SAT never
 masks the SAT verdict, and a :class:`CertificationFailure` always
-surfaces (it must reach ``prove()``'s cross-core arbitration).
+surfaces (``prove()`` degrades it to the structural bound).
 
 Everything is opt-in behind ``REPRO_CUBE`` / :func:`use_cubes` and
 engages only when a query proves *hard*: the caller first runs the
@@ -77,7 +77,7 @@ __all__ = [
 ]
 
 # ----------------------------------------------------------------------
-# Toggles (same idiom as use_flat / use_proofs / use_simplify).
+# Toggles (same idiom as use_proofs / use_simplify).
 # ----------------------------------------------------------------------
 _CUBE_ENV = "REPRO_CUBE"
 _cubes_enabled = os.environ.get(_CUBE_ENV, "").strip().lower() \

@@ -1,15 +1,12 @@
 """Inprocessing between restarts: subsumption, self-subsuming
 resolution, and bounded variable elimination — every step certified.
 
-The driver here is shared verbatim by both CDCL cores: it operates
-only through the small ``_simp_*`` primitive layer each core exposes
-(:meth:`_simp_lits`, :meth:`_simp_shrink`, :meth:`_simp_remove`,
-:meth:`_simp_gc`, :meth:`_simp_clear_reasons`) plus the shared
-``_value`` / ``_enqueue`` / ``_propagate`` / ``_store_problem_clause``
-slow paths, so :class:`~repro.sat.solver.LegacySolver` and
-:class:`~repro.sat.flat.FlatSolver` execute identical rounds and the
-dual-path oracle's exact-equivalence contract extends over the
-simplifier by construction.
+The driver operates on :class:`~repro.sat.solver.Solver` only
+through its small ``_simp_*`` primitive layer (:meth:`_simp_lits`,
+:meth:`_simp_shrink`, :meth:`_simp_remove`, :meth:`_simp_gc`,
+:meth:`_simp_clear_reasons`) plus the ``_value`` / ``_enqueue`` /
+``_propagate`` / ``_store_problem_clause`` slow paths, so it never
+touches the clause arena's layout directly.
 
 A round runs at a restart boundary (decision level 0, propagation at
 fixpoint) and performs, in order:
@@ -162,18 +159,25 @@ def _run(solver) -> Tuple[bool, int, int, int]:
     value = solver._value
     # Level-0 facts never need explaining (conflict analysis skips
     # level-0 variables), but a stale reason pointing at a clause this
-    # round deletes would dangle — and the flat core's compaction
-    # remaps every live reason reference.  Drop them all up front.
-    solver._simp_clear_reasons()
+    # round deletes would dangle — and arena compaction remaps every
+    # live reason reference.  Drop them all up front.  The proof must
+    # not lose them with their reasons, though: this round (or a later
+    # learnt-DB reduction, now that they lock nothing) may delete the
+    # reason clauses, after which the checker could no longer derive
+    # the facts.  Log each implied one as a unit lemma while it is
+    # still RUP.
+    implied = solver._simp_clear_reasons()
+    if proof is not None:
+        for lit in implied:
+            proof.learnt((lit,))
 
     elim = solver._elim
     if len(elim) < solver.num_vars:
         elim.extend([0] * (solver.num_vars - len(elim)))
 
     # Per-clause records: ref -> [lits, literal set, signature].
-    # Refs are core-specific (arena indices / _Clause objects) but the
-    # driver only ever uses them as ordered handles and dict/set keys,
-    # so both cores traverse identical positions in identical order.
+    # Refs are arena indices, but the driver only ever uses them as
+    # ordered handles and dict/set keys.
     recs = {}
     order: List = []
     dead = set()
@@ -190,9 +194,18 @@ def _run(solver) -> Tuple[bool, int, int, int]:
     def assert_unit(lit) -> bool:
         # The literal is unassigned at level 0 (normalization strips
         # assigned ones), so the enqueue cannot fail — only the
-        # follow-up propagation can, by refuting the formula.
+        # follow-up propagation can, by refuting the formula.  The
+        # facts it implies are logged as unit lemmas (see above): the
+        # rest of the round may delete their reason clauses.
+        trail = solver._trail
+        start = len(trail) + 1
         solver._enqueue(lit)
-        return solver._propagate() is None
+        if solver._propagate() is not None:
+            return False
+        if proof is not None:
+            for implied_lit in trail[start:]:
+                proof.learnt((implied_lit,))
+        return True
 
     for ref in solver._clauses:
         lits = solver._simp_lits(ref)

@@ -1,4 +1,4 @@
-"""A CDCL SAT solver with two interchangeable cores.
+"""The CDCL SAT solver.
 
 Implements the standard conflict-driven clause-learning architecture —
 two-watched-literal propagation with blocker literals, first-UIP
@@ -8,27 +8,34 @@ reduction — in pure Python.  It is the reasoning engine behind SAT
 sweeping (Section 3.1), BMC, k-induction, and the recurrence-diameter
 computation.
 
-Two cores share one search loop (:meth:`Solver._search`) and differ
-only in how the hot state is laid out:
+The hot state lives in contiguous flat arrays rather than per-clause
+Python objects, which keeps object allocation and attribute dispatch
+out of the propagation/analysis inner loops (the solver's hot path):
 
-* :class:`FlatSolver` (the default) keeps clauses in a flat integer
-  *arena* with inline headers, watcher lists as flat interleaved
-  ``[clause-ref, blocker, ...]`` integer arrays, and plain integer
-  assignment/reason/level tables — no per-clause Python objects on the
-  hot path (see :mod:`repro.sat.flat`).
-* :class:`LegacySolver` keeps the original per-clause ``_Clause``
-  objects.  It exists as the independent reference implementation for
-  the randomized dual-path oracle suite: both cores execute the exact
-  same search (decision for decision), so verdicts, models, trails and
-  statistics must match *exactly* — any divergence is a bug in one of
-  the cores.
+* **Clause arena** — one flat integer list.  A clause is a *reference*
+  (``cref``), the index of its inline header: ``arena[cref]`` is the
+  literal count, ``arena[cref + 1]`` the clause's index into the
+  learnt-activity table (``-1`` for problem clauses), and the literals
+  follow at ``arena[cref + 2:]``.  The arena starts with a two-word
+  pad so that ``0`` is never a valid reference.
+* **Watcher lists** — per literal, a flat interleaved integer list
+  ``[cref0, blocker0, cref1, blocker1, ...]``; the blocker is a
+  literal of the clause whose truth lets propagation skip the clause
+  without touching the arena at all.
+* **Assignment / reason / level** — plain integer tables:
+  ``_assign[v]`` is ``-1`` (unassigned), ``0`` (false) or ``1``
+  (true); ``_reason[v]`` is a cref or ``-1``; a literal ``p`` is true
+  iff ``_assign[p >> 1] == (p & 1) ^ 1``.
 
-The active core is selected at construction time by the
-``REPRO_FLAT_SOLVER`` environment variable (default: flat) or the
-scoped :func:`use_flat` / :func:`set_flat_enabled` toggles, mirroring
-the ``REPRO_FRAME_TEMPLATES`` switch of :mod:`repro.sat.template`;
-``Solver()`` transparently builds whichever core is enabled, and
-``isinstance(x, Solver)`` holds for both.
+Removing a learnt clause only unlinks it from the watcher lists; the
+arena words become garbage and are reclaimed by :meth:`_compact` once
+they outnumber the live words.  Compaction rewrites crefs in place
+(watchers, reasons, clause indices) and is invisible to the search.
+
+Answers are refereed independently of this code: UNSAT verdicts by the
+DRAT checker (:mod:`repro.cert.drat`) over the proof log, SAT verdicts
+by witness replay, and the search itself by the brute-force and
+pinned-counter oracle suite (tests/property/test_solver_oracle.py).
 
 Literals use the 0-based encoding of :mod:`repro.sat.cnf` (variable
 ``v`` gives positive literal ``2*v``, negative ``2*v + 1``).
@@ -49,7 +56,7 @@ from ..cert.proof import ProofLog
 from ..resilience import Budget, Cancelled, EngineFailure, \
     EXHAUSTED_CONFLICTS, EXHAUSTED_DEADLINE
 from ..resilience import faults as _faults
-from .cnf import CNF, lit_not, lit_sign, lit_var
+from .cnf import CNF, lit_not, lit_var
 from .simplify import simplify_round
 
 #: Tri-state results of :meth:`Solver.solve`.
@@ -57,36 +64,17 @@ SAT = "sat"
 UNSAT = "unsat"
 UNKNOWN = "unknown"
 
-
-# ----------------------------------------------------------------------
-# Core-selection toggle (mirrors repro.sat.template's toggle shape)
-# ----------------------------------------------------------------------
-_FLAT_ENV = "REPRO_FLAT_SOLVER"
-_flat_enabled = os.environ.get(_FLAT_ENV, "1").strip().lower() \
-    not in ("0", "false", "off", "no")
+#: Words of header before a clause's literals in the arena.
+_HDR = 2
 
 
 def flat_enabled() -> bool:
-    """Whether ``Solver()`` builds the flat-array core."""
-    return _flat_enabled
+    """Always True: the flat-array layout is the solver's only core.
 
-
-def set_flat_enabled(enabled: bool) -> bool:
-    """Set the global core toggle; returns the previous value."""
-    global _flat_enabled
-    previous = _flat_enabled
-    _flat_enabled = bool(enabled)
-    return previous
-
-
-@contextmanager
-def use_flat(enabled: bool) -> Iterator[None]:
-    """Scoped override of the core toggle (A/B testing, the oracle)."""
-    previous = set_flat_enabled(enabled)
-    try:
-        yield
-    finally:
-        set_flat_enabled(previous)
+    A constant reader with no setter, kept so that tools recording the
+    effective toggle set keep their field.
+    """
+    return True
 
 
 # ----------------------------------------------------------------------
@@ -251,39 +239,31 @@ def _timed(fn, acc: Dict[str, float], key: str):
     return wrapper
 
 
-class _Clause:
-    """A clause of the legacy object core."""
-
-    __slots__ = ("lits", "learnt", "activity")
-
-    def __init__(self, lits: List[int], learnt: bool) -> None:
-        self.lits = lits
-        self.learnt = learnt
-        self.activity = 0.0
-
-
 class Solver:
-    """An incremental CDCL SAT solver with assumption support.
-
-    ``Solver()`` is a facade: it constructs the flat-array core
-    (:class:`FlatSolver`) or the legacy object core
-    (:class:`LegacySolver`) depending on the :func:`use_flat` toggle.
-    This base class carries everything core-independent — the search
-    control loop, budget governance, statistics, and the normalising
-    slow-path clause loader — while the cores implement the data-layout
-    primitives (propagation, analysis, attach/detach, VSIDS tables).
-    """
-
-    def __new__(cls, *args, **kwargs):
-        if cls is Solver:
-            from .flat import FlatSolver
-            cls = FlatSolver if _flat_enabled else LegacySolver
-        return object.__new__(cls)
+    """An incremental CDCL SAT solver with assumption support (see the
+    module docstring for the data layout)."""
 
     def __init__(self) -> None:
         self.num_vars = 0
-        #: Shared across cores: activity table, lazy-deletion binary
-        #: heap of ``(-activity, var)`` entries, trail of literals,
+        #: Clause arena; pad so cref 0 is never valid (reason table
+        #: uses -1 as "no reason", watcher code may treat 0 as falsy).
+        self._arena: List[int] = [0, 0]
+        #: Activities of learnt clauses, indexed by the header's
+        #: activity slot (problem clauses carry -1 there).
+        self._cla_act: List[float] = []
+        #: Problem / learnt clause references, insertion-ordered.
+        self._clauses: List[int] = []
+        self._learnts: List[int] = []
+        #: Per-literal interleaved [cref, blocker, ...] watcher lists.
+        self._watches: List[List[int]] = []
+        self._assign: List[int] = []
+        self._level: List[int] = []
+        self._reason: List[int] = []
+        self._polarity: List[int] = []
+        #: Dead arena words left behind by removed learnt clauses.
+        self._garbage = 0
+        #: VSIDS activity table, lazy-deletion binary heap of
+        #: ``(-activity, var)`` entries, trail of literals,
         #: decision-level marks.
         self._activity: List[float] = []
         self._heap: List[tuple] = []
@@ -333,8 +313,7 @@ class Solver:
         #: Inprocessing (repro.sat.simplify).  The schedule is
         #: conflict-driven: a round runs at the first restart whose
         #: lifetime conflict count reaches ``_simp_next``, then the
-        #: gap doubles.  All of this state lives in the base class so
-        #: both cores share it bit-for-bit.
+        #: gap doubles.
         self._use_simplify = _simplify_enabled
         self._simp_next = 0
         self._simp_interval = 2000
@@ -381,8 +360,43 @@ class Solver:
             else None
 
     # ------------------------------------------------------------------
-    # Problem construction (core-independent slow paths)
+    # Problem construction
     # ------------------------------------------------------------------
+    def new_var(self) -> int:
+        """Allocate and return a fresh variable."""
+        var = self.num_vars
+        self.num_vars += 1
+        self._watches.append([])
+        self._watches.append([])
+        self._assign.append(-1)
+        self._level.append(0)
+        self._reason.append(-1)
+        self._polarity.append(0)
+        self._activity.append(0.0)
+        heapq.heappush(self._heap, (0.0, var))
+        return var
+
+    def new_vars(self, n: int) -> int:
+        """Allocate ``n`` fresh variables at once; returns the first.
+
+        State-identical to ``n`` :meth:`new_var` calls — the template
+        stamping fast path uses it to skip per-variable call overhead.
+        """
+        base = self.num_vars
+        if n <= 0:
+            return base
+        self.num_vars = base + n
+        self._watches.extend([] for _ in range(2 * n))
+        self._assign.extend([-1] * n)
+        self._level.extend([0] * n)
+        self._reason.extend([-1] * n)
+        self._polarity.extend([0] * n)
+        self._activity.extend([0.0] * n)
+        heap = self._heap
+        for var in range(base, base + n):
+            heapq.heappush(heap, (0.0, var))
+        return base
+
     def _ensure_var(self, var: int) -> None:
         while self.num_vars <= var:
             self.new_var()
@@ -455,6 +469,121 @@ class Solver:
             # the checker's bookkeeping.
             self._proof.learnt(clause)
         self._store_problem_clause(clause)
+        return True
+
+    def _alloc_clause(self, lits: List[int], learnt: bool) -> int:
+        arena = self._arena
+        cref = len(arena)
+        if learnt:
+            act_idx = len(self._cla_act)
+            self._cla_act.append(0.0)
+        else:
+            act_idx = -1
+        arena.append(len(lits))
+        arena.append(act_idx)
+        arena.extend(lits)
+        return cref
+
+    def _store_problem_clause(self, clause: List[int]) -> None:
+        cref = self._alloc_clause(clause, learnt=False)
+        self._clauses.append(cref)
+        self._attach(cref)
+
+    def add_clauses_bulk(self, clauses: Iterable[List[int]]) -> bool:
+        """Bulk-load pre-validated clauses, skipping normalisation.
+
+        The fast path behind template stamping
+        (:mod:`repro.sat.template`).  Caller contract, per clause:
+
+        * at least two literals, over already-allocated variables;
+        * pairwise-distinct variables (no duplicate literals, no
+          tautologies);
+        * the solver takes ownership of each literal list (never
+          reuse one).
+
+        A clause whose variables are all unassigned at decision level
+        0 is written to the arena and watch-attached directly; a
+        clause touching a level-0-assigned variable gets the
+        satisfied-clause/falsified-literal normalisation of
+        :meth:`add_clause` applied inline (the distinct-variables
+        contract rules out the duplicate/tautology cases, and the rare
+        empty/unit outcomes are delegated back to :meth:`add_clause`)
+        — this keeps the resulting clause database identical to adding
+        every clause individually.  Returns False if the formula
+        became trivially UNSAT.
+        """
+        if not self._ok:
+            return False
+        if self._elim_count:
+            clauses = self._restore_for_bulk(clauses)
+            if not self._ok:
+                return False
+        self._cancel_until(0)
+        assign = self._assign
+        arena = self._arena
+        watches = self._watches
+        out = self._clauses
+        append = out.append
+        slow = self._add_clause_raw
+        proof = self._proof
+        for lits in clauses:
+            if proof is not None:
+                # Original literals, before any normalisation or
+                # watched-literal reordering mutates the list.
+                proof.input(lits)
+            for lit in lits:
+                if assign[lit >> 1] >= 0:
+                    break
+            else:
+                cref = len(arena)
+                arena.append(len(lits))
+                arena.append(-1)
+                arena.extend(lits)
+                append(cref)
+                ws = watches[lits[0] ^ 1]
+                ws.append(cref)
+                ws.append(lits[1])
+                ws = watches[lits[1] ^ 1]
+                ws.append(cref)
+                ws.append(lits[0])
+                continue
+            # Level-0 normalisation, inline.  ``v != (lit & 1)`` is
+            # "literal true": keep unassigned literals, drop falsified
+            # ones, skip the clause on a satisfied one — exactly
+            # add_clause's rules minus the duplicate/tautology checks
+            # the caller contract makes unreachable.
+            keep = []
+            kappend = keep.append
+            sat = False
+            for lit in lits:
+                v = assign[lit >> 1]
+                if v < 0:
+                    kappend(lit)
+                elif v != (lit & 1):
+                    sat = True
+                    break
+            if sat:
+                continue
+            if len(keep) >= 2:
+                if proof is not None and len(keep) < len(lits):
+                    # Stored residue differs from the logged input
+                    # (level-0-false literals stripped): log it as a
+                    # RUP lemma so a later deletion of the stored
+                    # form matches a live instance in the checker.
+                    proof.learnt(keep)
+                cref = len(arena)
+                arena.append(len(keep))
+                arena.append(-1)
+                arena.extend(keep)
+                append(cref)
+                ws = watches[keep[0] ^ 1]
+                ws.append(cref)
+                ws.append(keep[1])
+                ws = watches[keep[1] ^ 1]
+                ws.append(cref)
+                ws.append(keep[0])
+            elif not slow(keep):  # empty or unit: rare, delegate
+                return False
         return True
 
     def add_cnf(self, cnf: CNF) -> bool:
@@ -638,13 +767,11 @@ class Solver:
         conflict_budget: Optional[int],
         budget: Optional[Budget] = None,
     ) -> str:
-        """The CDCL control loop, shared verbatim by both cores.
+        """The CDCL control loop.
 
-        Only data-layout primitives (``_propagate``, ``_analyze``,
-        ``_pick_branch``, ...) are core-specific; keeping the loop
-        itself in one place is what makes the dual-path oracle's
-        exact-equivalence contract (identical decisions, conflicts,
-        models, trails) hold by construction.
+        Calls the data-layout primitives (``_propagate``,
+        ``_analyze``, ``_pick_branch``) through locals, so profiling
+        can swap in timed wrappers without touching the loop.
         """
         if self._use_simplify and assumptions:
             # Assumption variables are part of the caller's interface:
@@ -746,9 +873,7 @@ class Solver:
                     if self._use_simplify \
                             and self.conflicts >= self._simp_next:
                         # Inprocessing at the restart boundary (level
-                        # 0, propagation at fixpoint) — shared by both
-                        # cores, so the dual-path oracle's equality
-                        # contract covers the simplifier too.
+                        # 0, propagation at fixpoint).
                         if not self._run_simplify():
                             self._ok = False
                             self._conclude_unsat(())
@@ -808,7 +933,7 @@ class Solver:
         return self.model[var]
 
     # ------------------------------------------------------------------
-    # Shared internals
+    # Internals
     # ------------------------------------------------------------------
     def _conclude_unsat(self, assumptions: Tuple[int, ...]) -> None:
         """Close the proof on an UNSAT return (no-op when logging is
@@ -818,9 +943,392 @@ class Solver:
         if self._proof is not None:
             self._proof.conclude_unsat(assumptions)
 
+    def _value(self, lit: int) -> Optional[bool]:
+        v = self._assign[lit >> 1]
+        if v < 0:
+            return None
+        return v == (lit & 1) ^ 1
+
+    def _attach(self, cref: int) -> None:
+        arena = self._arena
+        l0 = arena[cref + 2]
+        l1 = arena[cref + 3]
+        ws = self._watches[l0 ^ 1]
+        ws.append(cref)
+        ws.append(l1)
+        ws = self._watches[l1 ^ 1]
+        ws.append(cref)
+        ws.append(l0)
+
+    def _enqueue(self, lit: int, reason: int = -1) -> bool:
+        var = lit >> 1
+        v = self._assign[var]
+        sign_flip = (lit & 1) ^ 1
+        if v >= 0:
+            return v == sign_flip
+        self._assign[var] = sign_flip
+        self._level[var] = len(self._trail_lim)
+        self._reason[var] = reason
+        self._polarity[var] = sign_flip
+        self._trail.append(lit)
+        return True
+
+    def _propagate(self) -> Optional[int]:
+        trail = self._trail
+        arena = self._arena
+        assign = self._assign
+        level = self._level
+        reason = self._reason
+        polarity = self._polarity
+        trail_append = trail.append
+        watches = self._watches
+        qhead = self._qhead
+        propagations = 0
+        conflict = -1
+        while qhead < len(trail):
+            lit = trail[qhead]
+            qhead += 1
+            propagations += 1
+            ws = watches[lit]
+            false_lit = lit ^ 1
+            cur_level = len(self._trail_lim)
+            i = 0
+            j = 0
+            n = len(ws)
+            while i < n:
+                cref = ws[i]
+                blocker = ws[i + 1]
+                i += 2
+                # Blocker fast path: clause already satisfied.
+                if assign[blocker >> 1] == (blocker & 1) ^ 1:
+                    ws[j] = cref
+                    ws[j + 1] = blocker
+                    j += 2
+                    continue
+                base = cref + 2
+                # Ensure the falsified literal is in slot 1.
+                l0 = arena[base]
+                if l0 == false_lit:
+                    l0 = arena[base + 1]
+                    arena[base] = l0
+                    arena[base + 1] = false_lit
+                v0 = assign[l0 >> 1]
+                if v0 == (l0 & 1) ^ 1:
+                    ws[j] = cref
+                    ws[j + 1] = l0
+                    j += 2
+                    continue
+                # Search for a new watch.
+                end = base + arena[cref]
+                found = False
+                for k in range(base + 2, end):
+                    lk = arena[k]
+                    if assign[lk >> 1] != lk & 1:  # not false
+                        arena[base + 1] = lk
+                        arena[k] = false_lit
+                        nws = watches[lk ^ 1]
+                        nws.append(cref)
+                        nws.append(l0)
+                        found = True
+                        break
+                if found:
+                    continue
+                # Unit or conflicting.
+                ws[j] = cref
+                ws[j + 1] = l0
+                j += 2
+                if v0 >= 0:  # l0 false (not-true and assigned): conflict
+                    while i < n:
+                        ws[j] = ws[i]
+                        ws[j + 1] = ws[i + 1]
+                        i += 2
+                        j += 2
+                    del ws[j:]
+                    qhead = len(trail)
+                    conflict = cref
+                    break
+                var = l0 >> 1
+                assign[var] = (l0 & 1) ^ 1
+                level[var] = cur_level
+                reason[var] = cref
+                polarity[var] = assign[var]
+                trail_append(l0)
+            else:
+                del ws[j:]
+                continue
+            break
+        self._qhead = qhead
+        self.propagations += propagations
+        return conflict if conflict >= 0 else None
+
+    def _analyze(self, conflict: int) -> tuple:
+        arena = self._arena
+        trail = self._trail
+        level = self._level
+        reasons = self._reason
+        learnt: List[int] = [0]  # slot 0 for the asserting literal
+        seen = [False] * self.num_vars
+        counter = 0
+        lit = None
+        reason = conflict
+        idx = len(trail) - 1
+        cur_level = len(self._trail_lim)
+        cla_act = self._cla_act
+        cla_inc = self._cla_inc
+        while True:
+            act_idx = arena[reason + 1]
+            if act_idx >= 0:
+                cla_act[act_idx] += cla_inc
+            size = arena[reason]
+            lits = arena[reason + 2: reason + 2 + size]
+            start = 0 if lit is None else 1
+            if lit is not None and lits[0] != lit:
+                # Reason clause stores the implied literal first; if
+                # not, locate it and skip it.
+                lits = [lit] + [x for x in lits if x != lit]
+            for q in lits[start:]:
+                var = q >> 1
+                if not seen[var] and level[var] > 0:
+                    seen[var] = True
+                    self._bump_var(var)
+                    if level[var] >= cur_level:
+                        counter += 1
+                    else:
+                        learnt.append(q)
+            while not seen[trail[idx] >> 1]:
+                idx -= 1
+            lit = trail[idx]
+            idx -= 1
+            var = lit >> 1
+            seen[var] = False
+            counter -= 1
+            if counter == 0:
+                break
+            reason = reasons[var]
+        learnt[0] = lit ^ 1
+        learnt = self._minimize(learnt, seen)
+        if len(learnt) == 1:
+            back_level = 0
+        else:
+            max_i = 1
+            for i in range(2, len(learnt)):
+                if level[learnt[i] >> 1] > level[learnt[max_i] >> 1]:
+                    max_i = i
+            learnt[1], learnt[max_i] = learnt[max_i], learnt[1]
+            back_level = level[learnt[1] >> 1]
+        return learnt, back_level
+
+    def _minimize(self, learnt: List[int], seen: List[bool]) -> List[int]:
+        arena = self._arena
+        level = self._level
+        reasons = self._reason
+        for lit in learnt[1:]:
+            seen[lit >> 1] = True
+        out = [learnt[0]]
+        for lit in learnt[1:]:
+            reason = reasons[lit >> 1]
+            if reason < 0:
+                out.append(lit)
+                continue
+            var = lit >> 1
+            redundant = True
+            for k in range(reason + 2, reason + 2 + arena[reason]):
+                q = arena[k]
+                if (q >> 1) != var and not seen[q >> 1] \
+                        and level[q >> 1] != 0:
+                    redundant = False
+                    break
+            if not redundant:
+                out.append(lit)
+        for lit in learnt[1:]:
+            seen[lit >> 1] = False
+        return out
+
+    def _record_learnt(self, learnt: List[int]) -> None:
+        if self._proof is not None:
+            # Post-minimization literals (minimization preserves RUP);
+            # unit learnts are logged too — they never enter _learnts,
+            # only the level-0 trail.
+            self._proof.learnt(learnt)
+        if len(learnt) == 1:
+            self._enqueue(learnt[0])
+            return
+        cref = self._alloc_clause(learnt, learnt=True)
+        self._cla_act[self._arena[cref + 1]] = self._cla_inc
+        self._learnts.append(cref)
+        self._attach(cref)
+        self._enqueue(learnt[0], cref)
+
+    def _cancel_until(self, level: int) -> None:
+        if len(self._trail_lim) <= level:
+            return
+        bound = self._trail_lim[level]
+        trail = self._trail
+        assign = self._assign
+        reason = self._reason
+        act = self._activity
+        heap = self._heap
+        push = heapq.heappush
+        for i in range(len(trail) - 1, bound - 1, -1):
+            var = trail[i] >> 1
+            assign[var] = -1
+            reason[var] = -1
+            push(heap, (-act[var], var))
+        del trail[bound:]
+        del self._trail_lim[level:]
+        self._qhead = bound
+
+    def _pick_branch(self) -> Optional[int]:
+        heap = self._heap
+        assign = self._assign
+        polarity = self._polarity
+        while heap:
+            _, var = heapq.heappop(heap)
+            if assign[var] < 0:
+                return (var << 1) | (polarity[var] ^ 1)
+        for var in range(self.num_vars):
+            if assign[var] < 0:
+                return (var << 1) | (polarity[var] ^ 1)
+        return None
+
+    def _reduce_db(self) -> None:
+        # A learnt clause is *locked* (must be kept) while it is the
+        # reason of its asserting literal's variable; reasons always
+        # store that literal in slot 0, so lock detection is one table
+        # probe per clause — no scan over all variables.
+        arena = self._arena
+        cla_act = self._cla_act
+        reason = self._reason
+        learnts = self._learnts
+        learnts.sort(key=lambda c: cla_act[arena[c + 1]])
+        keep_from = len(learnts) // 2
+        kept = []
+        garbage = self._garbage
+        proof = self._proof
+        for i, cref in enumerate(learnts):
+            size = arena[cref]
+            if i < keep_from and size > 2 \
+                    and reason[arena[cref + 2] >> 1] != cref:
+                if proof is not None:
+                    # Snapshot the (watch-permuted) literals before
+                    # the arena words become garbage.
+                    proof.delete(arena[cref + 2: cref + 2 + size])
+                self._detach(cref)
+                garbage += size + _HDR
+            else:
+                kept.append(cref)
+        self._learnts = kept
+        self._garbage = garbage
+        if garbage * 2 > len(arena):
+            self._compact()
+        if _debug_checks:
+            self._debug_check_watches()
+
+    def _detach(self, cref: int) -> None:
+        arena = self._arena
+        for lit in (arena[cref + 2], arena[cref + 3]):
+            ws = self._watches[lit ^ 1]
+            for i in range(0, len(ws), 2):
+                if ws[i] == cref:
+                    del ws[i:i + 2]
+                    break
+            else:
+                # A detach miss means the watcher lists no longer
+                # agree with the clause's watched literals — real
+                # corruption that a silent pass would mask.
+                raise RuntimeError(
+                    f"watcher corruption: clause ref {cref} missing "
+                    f"from the watch list of literal {lit ^ 1}")
+
+    def _compact(self) -> None:
+        """Reclaim garbage arena words left by removed learnt clauses.
+
+        Copies live clauses (problem first, then learnts, preserving
+        order) into a fresh arena, rewrites every stored cref
+        (clause indices, watcher lists, reason table) and rebuilds the
+        learnt-activity table densely.  Watcher order is preserved, so
+        the search is completely unaffected.
+        """
+        old = self._arena
+        old_act = self._cla_act
+        new: List[int] = [0, 0]
+        new_act: List[float] = []
+        remap: Dict[int, int] = {}
+        for group in (self._clauses, self._learnts):
+            for idx, cref in enumerate(group):
+                size = old[cref]
+                act_idx = old[cref + 1]
+                ncref = len(new)
+                remap[cref] = ncref
+                new.append(size)
+                if act_idx >= 0:
+                    new.append(len(new_act))
+                    new_act.append(old_act[act_idx])
+                else:
+                    new.append(-1)
+                new.extend(old[cref + 2: cref + 2 + size])
+                group[idx] = ncref
+        for ws in self._watches:
+            for i in range(0, len(ws), 2):
+                ws[i] = remap[ws[i]]
+        reason = self._reason
+        for var in range(self.num_vars):
+            r = reason[var]
+            if r >= 0:
+                # Reasons are always live: problem clauses are never
+                # removed and locked learnts are kept by _reduce_db.
+                reason[var] = remap[r]
+        self._arena = new
+        self._cla_act = new_act
+        self._garbage = 0
+
+    def _decision_level(self) -> int:
+        return len(self._trail_lim)
+
+    def _bump_var(self, var: int) -> None:
+        act = self._activity
+        act[var] += self._var_inc
+        if act[var] > 1e100:
+            for v in range(self.num_vars):
+                act[v] *= 1e-100
+            self._var_inc *= 1e-100
+            # Rescaling invalidates every key already sitting in the
+            # lazy-deletion heap (they carry the un-rescaled
+            # magnitudes, so _pick_branch would pop in stale priority
+            # order for the rest of the run).  Rebuild the heap from
+            # the *current* activities of its member variables.
+            heap = [(-act[v], v)
+                    for v in sorted({v for _, v in self._heap})]
+            heapq.heapify(heap)
+            self._heap = heap
+        heapq.heappush(self._heap, (-act[var], var))
+
+    def _decay_activities(self) -> None:
+        self._var_inc /= self._var_decay
+        self._cla_inc /= 0.999
+
+    @staticmethod
+    def _luby(i: int) -> int:
+        """The Luby restart sequence 1,1,2,1,1,2,4,... (1-based index).
+
+        MiniSat's formulation: find the finite subsequence containing
+        index ``i`` and its position within it.
+        """
+        if i < 1:
+            raise ValueError("the Luby sequence is 1-based")
+        x = i - 1
+        size, seq = 1, 0
+        while size < x + 1:
+            seq += 1
+            size = 2 * size + 1
+        while size - 1 != x:
+            size = (size - 1) >> 1
+            seq -= 1
+            x %= size
+        return 1 << seq
+
     # ------------------------------------------------------------------
-    # Inprocessing support (repro.sat.simplify drives the per-core
-    # _simp_* primitives; everything here is core-independent)
+    # Inprocessing (repro.sat.simplify drives the _simp_* primitives)
     # ------------------------------------------------------------------
     def freeze(self, var: int) -> None:
         """Protect ``var`` from variable elimination.
@@ -926,58 +1434,64 @@ class Solver:
                 designated = lits[0]
                 model[designated >> 1] = (designated & 1) == 0
 
+    def _simp_lits(self, cref: int) -> List[int]:
+        arena = self._arena
+        return arena[cref + 2: cref + 2 + arena[cref]]
+
+    def _simp_shrink(self, cref: int, new_lits: List[int]) -> None:
+        # Detach on the OLD watched literals before rewriting the
+        # arena words, then re-attach on the new first two — a
+        # strengthened clause's watchers are rebuilt, never inherited.
+        # The tail words between the new and old size become arena
+        # garbage (reclaimed by _compact).
+        self._detach(cref)
+        arena = self._arena
+        old_size = arena[cref]
+        size = len(new_lits)
+        arena[cref] = size
+        arena[cref + 2: cref + 2 + size] = new_lits
+        self._garbage += old_size - size
+        self._attach(cref)
+
+    def _simp_remove(self, cref: int) -> None:
+        self._detach(cref)
+        self._garbage += self._arena[cref] + _HDR
+
+    def _simp_gc(self) -> None:
+        if self._garbage * 2 > len(self._arena):
+            self._compact()
+
+    def _simp_clear_reasons(self) -> List[int]:
+        """Clear the reasons of the (level-0) trail; returns the
+        literals that had one — the implied level-0 facts."""
+        reason = self._reason
+        implied = []
+        for lit in self._trail:
+            var = lit >> 1
+            if reason[var] >= 0:
+                implied.append(lit)
+                reason[var] = -1
+        return implied
+
     def _debug_check_watches(self) -> None:
-        """Core-specific watcher-integrity sweep (debug builds)."""
-        raise NotImplementedError
-
-    def _decision_level(self) -> int:
-        return len(self._trail_lim)
-
-    def _bump_var(self, var: int) -> None:
-        act = self._activity
-        act[var] += self._var_inc
-        if act[var] > 1e100:
-            for v in range(self.num_vars):
-                act[v] *= 1e-100
-            self._var_inc *= 1e-100
-            # Rescaling invalidates every key already sitting in the
-            # lazy-deletion heap (they carry the un-rescaled
-            # magnitudes, so _pick_branch would pop in stale priority
-            # order for the rest of the run).  Rebuild the heap from
-            # the *current* activities of its member variables.
-            heap = [(-act[v], v)
-                    for v in sorted({v for _, v in self._heap})]
-            heapq.heapify(heap)
-            self._heap = heap
-        heapq.heappush(self._heap, (-act[var], var))
-
-    def _decay_activities(self) -> None:
-        self._var_inc /= self._var_decay
-        self._cla_inc /= 0.999
-
-    @staticmethod
-    def _luby(i: int) -> int:
-        """The Luby restart sequence 1,1,2,1,1,2,4,... (1-based index).
-
-        MiniSat's formulation: find the finite subsequence containing
-        index ``i`` and its position within it.
-        """
-        if i < 1:
-            raise ValueError("the Luby sequence is 1-based")
-        x = i - 1
-        size, seq = 1, 0
-        while size < x + 1:
-            seq += 1
-            size = 2 * size + 1
-        while size - 1 != x:
-            size = (size - 1) >> 1
-            seq -= 1
-            x %= size
-        return 1 << seq
+        """Assert every watcher entry is consistent: the watched
+        literal sits in its clause's first two arena slots and the
+        blocker occurs in the clause.  Debug-only (full sweep)."""
+        arena = self._arena
+        for idx, ws in enumerate(self._watches):
+            lit = idx ^ 1
+            for i in range(0, len(ws), 2):
+                cref = ws[i]
+                lits = arena[cref + 2: cref + 2 + arena[cref]]
+                if lit not in lits[:2] or ws[i + 1] not in lits:
+                    raise RuntimeError(
+                        "watcher corruption: literal "
+                        f"{lit} watches clause ref {cref} "
+                        f"{tuple(lits)} (blocker {ws[i + 1]})")
 
     # ------------------------------------------------------------------
-    # Introspection (stable across cores; tests and the oracle use
-    # these instead of poking core-specific internals)
+    # Introspection (tests and the oracle use these instead of poking
+    # the arena directly)
     # ------------------------------------------------------------------
     @property
     def ok(self) -> bool:
@@ -994,465 +1508,15 @@ class Solver:
         """The current assignment trail, as literals in enqueue order."""
         return list(self._trail)
 
+    def _lits_of(self, cref: int) -> Tuple[int, ...]:
+        arena = self._arena
+        return tuple(arena[cref + 2: cref + 2 + arena[cref]])
+
     def clause_lits(self) -> List[Tuple[int, ...]]:
-        """Problem clauses in insertion order (current literal order)."""
-        raise NotImplementedError
+        return [self._lits_of(c) for c in self._clauses]
 
     def learnt_lits(self) -> List[Tuple[int, ...]]:
-        """Learnt clauses currently in the database."""
-        raise NotImplementedError
+        return [self._lits_of(c) for c in self._learnts]
 
     def assignment(self) -> List[Optional[bool]]:
-        """Per-variable values (None = unassigned)."""
-        raise NotImplementedError
-
-
-class LegacySolver(Solver):
-    """The original object-based core: one ``_Clause`` per clause,
-    watcher lists of ``(clause, blocker)`` pairs.
-
-    Kept as the reference implementation behind the dual-path oracle
-    (see the module docstring); construct it directly or via
-    ``use_flat(False)``.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._clauses: List[_Clause] = []
-        self._learnts: List[_Clause] = []
-        #: Watcher lists, indexed by falsified literal; entries are
-        #: ``(clause, blocker)`` where ``blocker`` is some literal of
-        #: the clause (usually the other watch) whose truth proves the
-        #: clause satisfied without touching it.
-        self._watches: List[List[tuple]] = []
-        self._assign: List[Optional[bool]] = []
-        self._level: List[int] = []
-        self._reason: List[Optional[_Clause]] = []
-        self._polarity: List[bool] = []
-
-    # ------------------------------------------------------------------
-    # Problem construction
-    # ------------------------------------------------------------------
-    def new_var(self) -> int:
-        """Allocate and return a fresh variable."""
-        var = self.num_vars
-        self.num_vars += 1
-        self._watches.append([])
-        self._watches.append([])
-        self._assign.append(None)
-        self._level.append(0)
-        self._reason.append(None)
-        self._polarity.append(False)
-        self._activity.append(0.0)
-        heapq.heappush(self._heap, (0.0, var))
-        return var
-
-    def new_vars(self, n: int) -> int:
-        """Allocate ``n`` fresh variables at once; returns the first.
-
-        State-identical to ``n`` :meth:`new_var` calls (same side
-        tables, same heap entries in the same order) — the template
-        stamping fast path uses it to skip per-variable call overhead.
-        """
-        base = self.num_vars
-        if n <= 0:
-            return base
-        self.num_vars = base + n
-        self._watches.extend([] for _ in range(2 * n))
-        self._assign.extend([None] * n)
-        self._level.extend([0] * n)
-        self._reason.extend([None] * n)
-        self._polarity.extend([False] * n)
-        self._activity.extend([0.0] * n)
-        heap = self._heap
-        for var in range(base, base + n):
-            heapq.heappush(heap, (0.0, var))
-        return base
-
-    def _store_problem_clause(self, clause: List[int]) -> None:
-        c = _Clause(clause, learnt=False)
-        self._clauses.append(c)
-        self._attach(c)
-
-    def add_clauses_bulk(self, clauses: Iterable[List[int]]) -> bool:
-        """Bulk-load pre-validated clauses, skipping normalisation.
-
-        The fast path behind template stamping
-        (:mod:`repro.sat.template`).  Caller contract, per clause:
-
-        * at least two literals, over already-allocated variables;
-        * pairwise-distinct variables (no duplicate literals, no
-          tautologies);
-        * the solver takes ownership of each literal list (watched-
-          literal reordering mutates it in place — never reuse one).
-
-        A clause whose variables are all unassigned at decision level
-        0 is constructed and watch-attached directly; a clause touching
-        a level-0-assigned variable gets the satisfied-clause/
-        falsified-literal normalisation of :meth:`add_clause` applied
-        inline (the distinct-variables contract rules out the
-        duplicate/tautology cases, and the rare empty/unit outcomes
-        are delegated back to :meth:`add_clause`) — this keeps the
-        resulting clause database identical to adding every clause
-        individually.  Returns False if the formula became trivially
-        UNSAT.
-        """
-        if not self._ok:
-            return False
-        if self._elim_count:
-            clauses = self._restore_for_bulk(clauses)
-            if not self._ok:
-                return False
-        self._cancel_until(0)
-        assign = self._assign
-        watches = self._watches
-        out = self._clauses
-        append = out.append
-        slow = self._add_clause_raw
-        proof = self._proof
-        for lits in clauses:
-            if proof is not None:
-                # Original literals, before any normalisation or
-                # watched-literal reordering mutates the list.
-                proof.input(lits)
-            for lit in lits:
-                if assign[lit >> 1] is not None:
-                    break
-            else:
-                clause = _Clause(lits, False)
-                append(clause)
-                watches[lits[0] ^ 1].append((clause, lits[1]))
-                watches[lits[1] ^ 1].append((clause, lits[0]))
-                continue
-            # Level-0 normalisation, inline.  ``v != (lit & 1)`` is
-            # "literal true" (bool compares equal to int): keep
-            # unassigned literals, drop falsified ones, skip the
-            # clause on a satisfied one — exactly add_clause's rules
-            # minus the duplicate/tautology checks the caller contract
-            # makes unreachable.
-            keep = []
-            kappend = keep.append
-            sat = False
-            for lit in lits:
-                v = assign[lit >> 1]
-                if v is None:
-                    kappend(lit)
-                elif v != (lit & 1):
-                    sat = True
-                    break
-            if sat:
-                continue
-            if len(keep) >= 2:
-                if proof is not None and len(keep) < len(lits):
-                    # Stored residue differs from the logged input
-                    # (level-0-false literals stripped): log it as a
-                    # RUP lemma so a later deletion of the stored form
-                    # matches a live instance (see _add_clause_raw).
-                    proof.learnt(keep)
-                clause = _Clause(keep, False)
-                append(clause)
-                watches[keep[0] ^ 1].append((clause, keep[1]))
-                watches[keep[1] ^ 1].append((clause, keep[0]))
-            elif not slow(keep):  # empty or unit: rare, delegate
-                return False
-        return True
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _value(self, lit: int) -> Optional[bool]:
-        v = self._assign[lit_var(lit)]
-        if v is None:
-            return None
-        return (not v) if lit_sign(lit) else v
-
-    def _attach(self, clause: _Clause) -> None:
-        lits = clause.lits
-        self._watches[lits[0] ^ 1].append((clause, lits[1]))
-        self._watches[lits[1] ^ 1].append((clause, lits[0]))
-
-    def _enqueue(self, lit: int, reason: Optional[_Clause] = None) -> bool:
-        val = self._value(lit)
-        if val is not None:
-            return val
-        var = lit_var(lit)
-        self._assign[var] = not lit_sign(lit)
-        self._level[var] = self._decision_level()
-        self._reason[var] = reason
-        self._polarity[var] = self._assign[var]
-        self._trail.append(lit)
-        return True
-
-    def _propagate(self) -> Optional[_Clause]:
-        while self._qhead < len(self._trail):
-            lit = self._trail[self._qhead]
-            self._qhead += 1
-            self.propagations += 1
-            watchers = self._watches[lit]
-            assign = self._assign
-            i = 0
-            j = 0
-            n = len(watchers)
-            false_lit = lit ^ 1
-            while i < n:
-                clause, blocker = watchers[i]
-                i += 1
-                # Blocker fast path: some literal of the clause is
-                # already true, so the clause is satisfied and need
-                # not be loaded at all.  (True == 1, so the comparison
-                # is one int op; None compares unequal to both.)
-                if assign[blocker >> 1] == (blocker & 1) ^ 1:
-                    watchers[j] = (clause, blocker)
-                    j += 1
-                    continue
-                lits = clause.lits
-                # Ensure the falsified literal is in slot 1.
-                if lits[0] == false_lit:
-                    lits[0], lits[1] = lits[1], lits[0]
-                first = lits[0]
-                if self._value(first) is True:
-                    watchers[j] = (clause, first)
-                    j += 1
-                    continue
-                # Search for a new watch.
-                found = False
-                for k in range(2, len(lits)):
-                    if self._value(lits[k]) is not False:
-                        lits[1], lits[k] = lits[k], lits[1]
-                        self._watches[lits[1] ^ 1].append((clause, first))
-                        found = True
-                        break
-                if found:
-                    continue
-                # Unit or conflicting.
-                watchers[j] = (clause, first)
-                j += 1
-                if self._value(first) is False:
-                    # Conflict: keep remaining watchers, reset queue.
-                    while i < n:
-                        watchers[j] = watchers[i]
-                        j += 1
-                        i += 1
-                    del watchers[j:]
-                    self._qhead = len(self._trail)
-                    return clause
-                self._enqueue(first, clause)
-            del watchers[j:]
-        return None
-
-    def _analyze(self, conflict: _Clause) -> tuple:
-        learnt: List[int] = [0]  # slot 0 for the asserting literal
-        seen = [False] * self.num_vars
-        counter = 0
-        lit = None
-        reason: Optional[_Clause] = conflict
-        idx = len(self._trail) - 1
-        while True:
-            assert reason is not None
-            self._bump_clause(reason)
-            start = 0 if lit is None else 1
-            # After the first iteration lits[0] is the enqueued literal.
-            lits = reason.lits
-            if lit is not None and lits[0] != lit:
-                # Reason clause stores the implied literal first; if not,
-                # locate it and skip it.
-                lits = [lit] + [x for x in lits if x != lit]
-            for q in lits[start:]:
-                var = lit_var(q)
-                if not seen[var] and self._level[var] > 0:
-                    seen[var] = True
-                    self._bump_var(var)
-                    if self._level[var] >= self._decision_level():
-                        counter += 1
-                    else:
-                        learnt.append(q)
-            while not seen[lit_var(self._trail[idx])]:
-                idx -= 1
-            lit = self._trail[idx]
-            idx -= 1
-            var = lit_var(lit)
-            seen[var] = False
-            counter -= 1
-            if counter == 0:
-                break
-            reason = self._reason[var]
-        learnt[0] = lit_not(lit)
-        # Clause minimization: drop literals implied by the rest.
-        learnt = self._minimize(learnt, seen)
-        if len(learnt) == 1:
-            back_level = 0
-        else:
-            # Find the literal with the second-highest level.
-            max_i = 1
-            for i in range(2, len(learnt)):
-                if self._level[lit_var(learnt[i])] > \
-                        self._level[lit_var(learnt[max_i])]:
-                    max_i = i
-            learnt[1], learnt[max_i] = learnt[max_i], learnt[1]
-            back_level = self._level[lit_var(learnt[1])]
-        return learnt, back_level
-
-    def _minimize(self, learnt: List[int], seen: List[bool]) -> List[int]:
-        for lit in learnt[1:]:
-            seen[lit_var(lit)] = True
-        out = [learnt[0]]
-        for lit in learnt[1:]:
-            reason = self._reason[lit_var(lit)]
-            if reason is None:
-                out.append(lit)
-                continue
-            redundant = all(
-                seen[lit_var(q)] or self._level[lit_var(q)] == 0
-                for q in reason.lits if lit_var(q) != lit_var(lit)
-            )
-            if not redundant:
-                out.append(lit)
-        for lit in learnt[1:]:
-            seen[lit_var(lit)] = False
-        return out
-
-    def _record_learnt(self, learnt: List[int]) -> None:
-        if self._proof is not None:
-            # Post-minimization literals (minimization preserves RUP);
-            # unit learnts are logged too — they never enter _learnts,
-            # only the level-0 trail.
-            self._proof.learnt(learnt)
-        if len(learnt) == 1:
-            self._enqueue(learnt[0], None)
-            return
-        clause = _Clause(learnt, learnt=True)
-        clause.activity = self._cla_inc
-        self._learnts.append(clause)
-        self._attach(clause)
-        self._enqueue(learnt[0], clause)
-
-    def _cancel_until(self, level: int) -> None:
-        if self._decision_level() <= level:
-            return
-        bound = self._trail_lim[level]
-        for lit in reversed(self._trail[bound:]):
-            var = lit_var(lit)
-            self._assign[var] = None
-            self._reason[var] = None
-            heapq.heappush(self._heap, (-self._activity[var], var))
-        del self._trail[bound:]
-        del self._trail_lim[level:]
-        self._qhead = len(self._trail)
-
-    def _pick_branch(self) -> Optional[int]:
-        while self._heap:
-            _, var = heapq.heappop(self._heap)
-            if self._assign[var] is None:
-                return (var << 1) | (0 if self._polarity[var] else 1)
-        for var in range(self.num_vars):
-            if self._assign[var] is None:
-                return (var << 1) | (0 if self._polarity[var] else 1)
-        return None
-
-    def _bump_clause(self, clause: _Clause) -> None:
-        if clause.learnt:
-            clause.activity += self._cla_inc
-
-    def _reduce_db(self) -> None:
-        # A learnt clause is *locked* (must be kept) while it is the
-        # reason of its asserting literal's variable; reasons always
-        # store that literal in slot 0, so lock detection is one table
-        # probe per clause — no scan over all variables, no id()-keyed
-        # side set.
-        learnts = self._learnts
-        learnts.sort(key=lambda c: c.activity)
-        keep_from = len(learnts) // 2
-        reason = self._reason
-        removed = []
-        kept = []
-        for i, clause in enumerate(learnts):
-            lits = clause.lits
-            if i < keep_from and len(lits) > 2 \
-                    and reason[lits[0] >> 1] is not clause:
-                removed.append(clause)
-            else:
-                kept.append(clause)
-        proof = self._proof
-        for clause in removed:
-            if proof is not None:
-                proof.delete(clause.lits)
-            self._detach(clause)
-        self._learnts = kept
-        if _debug_checks:
-            self._debug_check_watches()
-
-    def _detach(self, clause: _Clause) -> None:
-        for lit in (clause.lits[0], clause.lits[1]):
-            watchers = self._watches[lit ^ 1]
-            for idx in range(len(watchers)):
-                if watchers[idx][0] is clause:
-                    del watchers[idx]
-                    break
-            else:
-                # A detach miss means the watcher lists no longer
-                # agree with the clause's watched literals — real
-                # corruption that a silent pass would mask.
-                if _debug_checks:
-                    raise RuntimeError(
-                        "watcher corruption: clause "
-                        f"{tuple(clause.lits)} missing from the watch "
-                        f"list of literal {lit ^ 1}")
-
-    # ------------------------------------------------------------------
-    # Inprocessing primitives (driven by repro.sat.simplify)
-    # ------------------------------------------------------------------
-    def _simp_lits(self, clause: _Clause) -> List[int]:
-        return list(clause.lits)
-
-    def _simp_shrink(self, clause: _Clause, new_lits: List[int]) -> None:
-        # Detach on the OLD watched literals before mutating, then
-        # re-attach on the new first two — a strengthened clause's
-        # watchers are rebuilt, never inherited (inheriting them would
-        # leave the watch lists pointing at literals the clause no
-        # longer contains; see _debug_check_watches).
-        self._detach(clause)
-        clause.lits = list(new_lits)
-        self._attach(clause)
-
-    def _simp_remove(self, clause: _Clause) -> None:
-        self._detach(clause)
-
-    def _simp_gc(self) -> None:
-        pass  # no arena: removed _Clause objects are plain garbage
-
-    def _simp_clear_reasons(self) -> None:
-        reason = self._reason
-        for lit in self._trail:
-            reason[lit >> 1] = None
-
-    def _debug_check_watches(self) -> None:
-        """Assert every watcher entry is consistent: the watched
-        literal sits in its clause's first two slots and the blocker
-        occurs in the clause.  Debug-only (full sweep)."""
-        for idx, watchers in enumerate(self._watches):
-            lit = idx ^ 1
-            for clause, blocker in watchers:
-                lits = clause.lits
-                if lit not in lits[:2] or blocker not in lits:
-                    raise RuntimeError(
-                        "watcher corruption: literal "
-                        f"{lit} watches clause {tuple(lits)} "
-                        f"(blocker {blocker})")
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def clause_lits(self) -> List[Tuple[int, ...]]:
-        return [tuple(c.lits) for c in self._clauses]
-
-    def learnt_lits(self) -> List[Tuple[int, ...]]:
-        return [tuple(c.lits) for c in self._learnts]
-
-    def assignment(self) -> List[Optional[bool]]:
-        return list(self._assign)
-
-
-# The flat core lives in its own module; imported last so it can extend
-# the Solver base defined above (the facade dispatches lazily, so this
-# import is only a convenience re-export).
-from .flat import FlatSolver  # noqa: E402  (circular-safe tail import)
+        return [None if v < 0 else bool(v) for v in self._assign]

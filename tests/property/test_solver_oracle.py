@@ -1,33 +1,44 @@
-"""Randomized dual-path oracle for the two solver cores.
+"""Randomized oracle suite for the CDCL solver, refereed independently.
 
-The flat-array core (:class:`~repro.sat.FlatSolver`) and the legacy
-object core (:class:`~repro.sat.LegacySolver`) share one search loop
-and must execute it *identically* — decision for decision.  So this
-suite does not settle for "same verdict": on every random instance it
-asserts equal verdicts, equal models, equal final trails, and equal
-``stats()`` counters across the cores, cross-checked against a
-brute-force enumerator where feasible.
+Every answer is checked by a referee that shares no code with the
+search:
+
+* a brute-force enumerator decides every small instance (under its
+  assumption literals) and must agree with the verdict;
+* every SAT model must satisfy every clause and every assumption;
+* every UNSAT verdict is logged under ``use_proofs(True)`` and its
+  proof must pass :func:`repro.cert.drat.check_proof`.
 
 Instance shapes mirror real callers: one-shot random 3-CNF, the
-incremental clause-add/solve interleave of SAT sweeping, and the
-assumption-sequence shape of BMC/k-induction.  Slow, larger cases are
-marked ``bench``.
+incremental clause-add/solve interleave of SAT sweeping, the
+assumption-sequence shape of BMC/k-induction, conflict budgets, and
+pigeonhole formulas hard enough to restart and simplify.
+
+Referees catch wrong answers but not a silent change in *how* the
+search reaches them, so :data:`PINNED` fixes the ``last_call_stats``
+trajectory and final ``stats()`` of a few fixed-seed scripts.  A
+change to decisions, propagation order, restarts or inprocessing shows
+up there first; re-pin only for an intended change to the search.
+Slow, larger cases are marked ``bench``.
 """
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from repro.cert.drat import check_proof
+from repro.cert.proof import clause_key
+from repro.resilience import EXHAUSTED_CONFLICTS
 from repro.sat import (
     SAT,
+    UNKNOWN,
     UNSAT,
-    FlatSolver,
-    LegacySolver,
     Solver,
-    use_flat,
     use_proofs,
+    use_sat_profile,
+    use_simplify,
 )
 from repro.sat.simplify import simplify_round
 
@@ -41,8 +52,31 @@ def random_clauses(rng, num_vars, num_clauses, width=3):
     return clauses
 
 
-def brute_force_sat(num_vars, clauses):
+def random_3cnf(rng, num_vars, num_clauses):
+    return [[2 * v + (rng.random() < 0.5)
+             for v in rng.sample(range(num_vars), 3)]
+            for _ in range(num_clauses)]
+
+
+def php_clauses(pigeons, holes):
+    """PHP(pigeons, holes): UNSAT whenever pigeons > holes."""
+    def var(p, h):
+        return p * holes + h
+
+    out = [[2 * var(p, h) for h in range(holes)]
+           for p in range(pigeons)]
+    for h in range(holes):
+        for p1 in range(pigeons):
+            for p2 in range(p1 + 1, pigeons):
+                out.append([2 * var(p1, h) + 1, 2 * var(p2, h) + 1])
+    return out
+
+
+def brute_force_sat(num_vars, clauses, assumptions=()):
+    """Brute force with assumption literals forced true."""
     for bits in itertools.product([False, True], repeat=num_vars):
+        if any(bits[l >> 1] == (l & 1 == 1) for l in assumptions):
+            continue
         if all(any(bits[l >> 1] != (l & 1 == 1) for l in c)
                for c in clauses):
             return True
@@ -54,69 +88,79 @@ def check_model(model, clauses):
         assert any(model[l >> 1] != (l & 1 == 1) for l in clause)
 
 
-def observe(solver):
-    """Everything the oracle compares after each solve() call."""
-    return (list(solver.model), solver.trail_lits(), solver.ok,
-            solver.stats(), dict(solver.last_call_stats),
-            solver.last_exhaustion)
-
-
-def run_script(core, num_vars, script):
-    """Run an (op, payload) script through a fresh core; returns the
-    observation sequence."""
-    solver = core()
+def certified_solver(num_vars):
+    with use_proofs(True):
+        solver = Solver()
     solver.new_vars(num_vars)
-    out = []
+    return solver
+
+
+def referee(solver, result, clauses, assumptions=(), brute=True):
+    """Check one ``solve()`` answer against the independent referees;
+    ``clauses`` is everything added so far."""
+    if brute:
+        expected = brute_force_sat(solver.num_vars, clauses, assumptions)
+        assert result == (SAT if expected else UNSAT)
+    if result == SAT:
+        check_model(solver.model, clauses)
+        check_model(solver.model, [[lit] for lit in assumptions])
+    elif result == UNSAT:
+        check = check_proof(solver.proof)
+        assert check.ok, check.errors[:3]
+
+
+def run_refereed(num_vars, script, brute=True):
+    """Run an ``("add", clause)`` / ``("solve", assumptions)`` script
+    through a fresh certified solver, refereeing every answer;
+    returns the results."""
+    solver = certified_solver(num_vars)
+    clauses = []
+    results = []
     for op, payload in script:
         if op == "add":
-            out.append(solver.add_clause(list(payload)))
-        elif op == "solve":
+            clauses.append(list(payload))
+            solver.add_clause(list(payload))
+        else:
             result = solver.solve(list(payload))
-            out.append((result,) + observe(solver))
-        else:  # pragma: no cover
-            raise AssertionError(op)
-    return out
+            referee(solver, result, clauses, payload, brute=brute)
+            results.append(result)
+    return results
 
 
 class TestOneShotEquivalence:
-    def test_random_3sat_cores_agree_exactly(self):
+    def test_random_3sat_agrees_with_referees(self):
         rng = random.Random(0xC0FFEE)
+        results = []
         for trial in range(60):
             nv = rng.randint(3, 10)
             clauses = random_clauses(rng, nv, rng.randint(2, 4 * nv))
             script = [("add", c) for c in clauses] + [("solve", ())]
-            legacy = run_script(LegacySolver, nv, script)
-            flat = run_script(FlatSolver, nv, script)
-            assert legacy == flat, f"trial {trial}: {clauses}"
-            result = flat[-1][0]
-            expected = brute_force_sat(nv, clauses)
-            assert result == (SAT if expected else UNSAT), \
-                f"trial {trial}: {clauses}"
-            if result == SAT:
-                check_model(flat[-1][1], clauses)
+            results += run_refereed(nv, script)
+        assert {SAT, UNSAT} <= set(results)
 
     def test_clause_database_evolution_matches(self):
-        # Learnt clauses are part of the search state; a hard UNSAT
-        # instance (pigeonhole) must leave identical databases.
-        def php(core, pigeons, holes):
-            s = core()
-            var = {(p, h): s.new_var() for p in range(pigeons)
-                   for h in range(holes)}
-            for p in range(pigeons):
-                s.add_clause([2 * var[p, h] for h in range(holes)])
-            for h in range(holes):
-                for p1 in range(pigeons):
-                    for p2 in range(p1 + 1, pigeons):
-                        s.add_clause([2 * var[p1, h] + 1,
-                                      2 * var[p2, h] + 1])
-            result = s.solve()
-            return (result, s.clause_lits(), s.learnt_lits(),
-                    s.stats())
-
-        legacy = php(LegacySolver, 5, 4)
-        flat = php(FlatSolver, 5, 4)
-        assert legacy[0] == UNSAT
-        assert legacy == flat
+        # The learnt-clause database must be exactly the proof log's
+        # live lemmas (logged additions minus logged deletions): a
+        # learnt clause the log does not know about would be an
+        # uncertified inference.  Inprocessing is off so that every
+        # ``a``/``d`` event belongs to a learnt clause.
+        with use_simplify(False):
+            solver = certified_solver(30)
+        clauses = php_clauses(6, 5)
+        for clause in clauses:
+            solver.add_clause(clause)
+        assert solver.solve() == UNSAT
+        referee(solver, UNSAT, clauses, brute=False)
+        live = Counter()
+        for kind, lits in solver.proof.events:
+            if kind == "a" and len(lits) > 1:
+                live[clause_key(lits)] += 1
+            elif kind == "d":
+                live[clause_key(lits)] -= 1
+        assert +live == Counter(clause_key(c)
+                                for c in solver.learnt_lits())
+        assert Counter(map(clause_key, solver.clause_lits())) == \
+            Counter(map(clause_key, clauses))
 
 
 class TestIncrementalEquivalence:
@@ -130,9 +174,7 @@ class TestIncrementalEquivalence:
                 for c in random_clauses(rng, nv, rng.randint(1, nv)):
                     script.append(("add", c))
                 script.append(("solve", ()))
-            legacy = run_script(LegacySolver, nv, script)
-            flat = run_script(FlatSolver, nv, script)
-            assert legacy == flat, f"trial {trial}: {script}"
+            run_refereed(nv, script)
 
     def test_assumption_sequences(self):
         # The BMC/k-induction shape: fixed formula, per-call
@@ -147,33 +189,28 @@ class TestIncrementalEquivalence:
                 script.append(
                     ("solve",
                      [2 * v + (rng.random() < 0.5) for v in vs]))
-            legacy = run_script(LegacySolver, nv, script)
-            flat = run_script(FlatSolver, nv, script)
-            assert legacy == flat, f"trial {trial}: {script}"
+            run_refereed(nv, script)
 
-    def test_conflict_budget_exhaustion_matches(self):
-        def starved(core):
-            s = core()
-            var = {(p, h): s.new_var() for p in range(6)
-                   for h in range(5)}
-            for p in range(6):
-                s.add_clause([2 * var[p, h] for h in range(5)])
-            for h in range(5):
-                for p1 in range(6):
-                    for p2 in range(p1 + 1, 6):
-                        s.add_clause([2 * var[p1, h] + 1,
-                                      2 * var[p2, h] + 1])
-            result = s.solve(conflict_budget=20)
-            return (result,) + observe(s)
-
-        assert starved(LegacySolver) == starved(FlatSolver)
+    def test_conflict_budget_exhaustion_matches_budget(self):
+        # A starved call stops after exactly its budget of conflicts,
+        # exposes no model, and leaves a solver that still finishes
+        # the refutation soundly afterwards.
+        clauses = php_clauses(6, 5)
+        solver = certified_solver(30)
+        for clause in clauses:
+            solver.add_clause(clause)
+        assert solver.solve(conflict_budget=20) == UNKNOWN
+        assert solver.last_call_stats["conflicts"] == 20
+        assert solver.last_exhaustion == EXHAUSTED_CONFLICTS
+        assert solver.model == []
+        assert solver.solve() == UNSAT
+        referee(solver, UNSAT, clauses, brute=False)
 
 
 class TestStatsInvariants:
-    @pytest.mark.parametrize("core", [LegacySolver, FlatSolver])
-    def test_lifetime_counters_are_monotone_and_sum_deltas(self, core):
+    def test_lifetime_counters_are_monotone_and_sum_deltas(self):
         rng = random.Random(5)
-        s = core()
+        s = Solver()
         s.new_vars(8)
         for c in random_clauses(rng, 8, 20):
             s.add_clause(c)
@@ -194,71 +231,43 @@ class TestStatsInvariants:
                    for k in totals)
 
 
-class TestFacadeToggleEndToEnd:
-    def test_solver_facade_runs_identically_under_both_toggles(self):
-        rng = random.Random(99)
-        nv = 8
-        clauses = random_clauses(rng, nv, 24)
-
-        def run():
-            s = Solver()
-            s.new_vars(nv)
-            for c in clauses:
-                s.add_clause(list(c))
-            result = s.solve()
-            return (result,) + observe(s)
-
-        with use_flat(True):
-            flat = run()
-        with use_flat(False):
-            legacy = run()
-        assert flat == legacy
-
-
-def brute_force_under(num_vars, clauses, assumptions):
-    """Brute force with assumption literals forced true."""
-    for bits in itertools.product([False, True], repeat=num_vars):
-        if any(bits[l >> 1] == (l & 1 == 1) for l in assumptions):
-            continue
-        if all(any(bits[l >> 1] != (l & 1 == 1) for l in c)
-               for c in clauses):
-            return True
-    return False
-
-
-def run_simplify_script(core, num_vars, script):
-    """Like :func:`run_script` but with a ``("simp", ())`` op that
+def run_simplify_script(num_vars, script):
+    """Like :func:`run_refereed` but with a ``("simp", ())`` op that
     fires an explicit inprocessing round.  A round can refute the
     formula outright; from then on the runner records the refutation
     instead of calling solve() on the dismantled state (exactly what
-    ``_search`` does when a mid-search round returns False)."""
-    solver = core()
-    solver.new_vars(num_vars)
-    out = []
+    ``_search`` does when a mid-search round returns False).  Returns
+    the per-solve results (``"refuted"`` after a refutation) and
+    whether a round refuted."""
+    solver = certified_solver(num_vars)
+    clauses = []
+    results = []
     refuted = False
     for op, payload in script:
         if op == "add":
-            out.append(solver.add_clause(list(payload)))
+            clauses.append(list(payload))
+            solver.add_clause(list(payload))
             refuted = refuted or not solver.ok
         elif op == "simp":
             if not refuted:
                 refuted = not simplify_round(solver)
-            out.append(("simp", refuted, solver.stats()))
-        elif op == "solve":
-            if refuted:
-                out.append("refuted")
-            else:
-                result = solver.solve(list(payload))
-                out.append((result,) + observe(solver))
-        else:  # pragma: no cover
-            raise AssertionError(op)
-    return out, refuted, solver
+        elif refuted:
+            results.append("refuted")
+        else:
+            result = solver.solve(list(payload))
+            # Reconstructed models must satisfy the ORIGINAL clauses,
+            # not just the simplified database.
+            referee(solver, result, clauses, payload)
+            results.append(result)
+    if refuted:
+        assert not brute_force_sat(num_vars, clauses)
+    return results, refuted
 
 
 class TestSimplifyEquivalence:
-    """The inprocessing driver is shared by both cores and must keep
-    the exact-equivalence contract: same rounds, same deletions, same
-    resulting search behaviour (satellite of the inprocessing PR)."""
+    """Inprocessing (subsumption, self-subsuming resolution, variable
+    elimination) must never change a verdict, and models must still
+    satisfy the original clauses after elimination."""
 
     def test_one_shot_with_round_matches_brute_force(self):
         rng = random.Random(0x51A1)
@@ -267,28 +276,12 @@ class TestSimplifyEquivalence:
             clauses = random_clauses(rng, nv, rng.randint(2, 4 * nv))
             script = [("add", c) for c in clauses]
             script += [("simp", ()), ("solve", ())]
-            legacy, lref, ls = run_simplify_script(
-                LegacySolver, nv, script)
-            flat, fref, fs = run_simplify_script(
-                FlatSolver, nv, script)
-            assert legacy == flat, f"trial {trial}: {clauses}"
-            expected = brute_force_sat(nv, clauses)
-            if lref:
-                assert not expected, f"trial {trial}: {clauses}"
-            else:
-                result = legacy[-1][0]
-                assert result == (SAT if expected else UNSAT), \
-                    f"trial {trial}: {clauses}"
-                if result == SAT:
-                    # Reconstructed models must satisfy the ORIGINAL
-                    # clauses, not just the simplified database.
-                    check_model(legacy[-1][1], clauses)
-                    check_model(flat[-1][1], clauses)
+            run_simplify_script(nv, script)
 
     def test_incremental_reintroduction_of_eliminated_vars(self):
         # Clauses added after a round may mention eliminated
-        # variables; restoration must leave both cores equivalent and
-        # the combined formula's verdict intact.
+        # variables; restoration must keep the combined formula's
+        # verdict intact.
         rng = random.Random(0x51A2)
         for trial in range(30):
             nv = rng.randint(4, 8)
@@ -298,16 +291,7 @@ class TestSimplifyEquivalence:
             script += [("simp", ()), ("solve", ())]
             script += [("add", c) for c in second]
             script += [("solve", ())]
-            legacy, lref, ls = run_simplify_script(
-                LegacySolver, nv, script)
-            flat, _, fs = run_simplify_script(FlatSolver, nv, script)
-            assert legacy == flat, f"trial {trial}"
-            if not lref and legacy[-1] != "refuted":
-                expected = brute_force_sat(nv, first + second)
-                assert legacy[-1][0] == \
-                    (SAT if expected else UNSAT), f"trial {trial}"
-                if expected:
-                    check_model(legacy[-1][1], first + second)
+            run_simplify_script(nv, script)
 
     def test_assumptions_over_potentially_eliminated_vars(self):
         # solve(assumptions) must freeze-and-restore: an assumption
@@ -317,58 +301,184 @@ class TestSimplifyEquivalence:
         for trial in range(30):
             nv = rng.randint(4, 8)
             clauses = random_clauses(rng, nv, rng.randint(2, 3 * nv))
-            assumption_sets = []
+            script = [("add", c) for c in clauses] + [("simp", ())]
             for _ in range(3):
                 vs = rng.sample(range(nv), rng.randint(1, 2))
-                assumption_sets.append(
-                    [2 * v + (rng.random() < 0.5) for v in vs])
-            script = [("add", c) for c in clauses] + [("simp", ())]
-            script += [("solve", a) for a in assumption_sets]
-            legacy, lref, _ = run_simplify_script(
-                LegacySolver, nv, script)
-            flat, _, _ = run_simplify_script(FlatSolver, nv, script)
-            assert legacy == flat, f"trial {trial}"
-            if lref:
-                assert not brute_force_sat(nv, clauses)
-                continue
-            for obs_entry, assumptions in zip(
-                    legacy[-len(assumption_sets):], assumption_sets):
-                expected = brute_force_under(nv, clauses, assumptions)
-                assert obs_entry[0] == (SAT if expected else UNSAT), \
-                    f"trial {trial}: {assumptions}"
+                script.append(
+                    ("solve",
+                     [2 * v + (rng.random() < 0.5) for v in vs]))
+            run_simplify_script(nv, script)
 
     def test_certified_php_with_inprocessing(self):
-        # Natural restarts fire rounds mid-search; the emitted proof
-        # must check, identically from both cores.
-        def php(core):
-            with use_proofs(True):
-                s = core()
-            s._use_simplify = True
-            pigeons, holes = 5, 4
-            var = {(p, h): s.new_var() for p in range(pigeons)
-                   for h in range(holes)}
-            for p in range(pigeons):
-                s.add_clause([2 * var[p, h] for h in range(holes)])
-            for h in range(holes):
-                for p1 in range(pigeons):
-                    for p2 in range(p1 + 1, pigeons):
-                        s.add_clause([2 * var[p1, h] + 1,
-                                      2 * var[p2, h] + 1])
-            result = s.solve()
-            check = check_proof(s.proof)
-            assert check.ok, check.errors[:3]
-            return (result, s.clause_lits(), s.learnt_lits(),
-                    s.stats(), s.proof.counts())
+        solver = certified_solver(20)
+        solver._use_simplify = True
+        clauses = php_clauses(5, 4)
+        for clause in clauses:
+            solver.add_clause(clause)
+        assert solver.solve() == UNSAT
+        referee(solver, UNSAT, clauses, brute=False)
+        assert solver.stats()["simplify_rounds"] >= 1
 
-        legacy = php(LegacySolver)
-        flat = php(FlatSolver)
-        assert legacy[0] == UNSAT
-        assert legacy == flat
+
+# ----------------------------------------------------------------------
+# Pinned counter trajectories
+# ----------------------------------------------------------------------
+def script_3cnf():
+    # Hard enough to restart and reduce the learnt database.
+    rng = random.Random(3)
+    return 140, [("add", random_3cnf(rng, 140, 600)), ("solve", ())]
+
+
+def script_incremental():
+    rng = random.Random(0x1AC)
+    script = []
+    for _ in range(5):
+        script.append(("add", random_3cnf(rng, 50, 45)))
+        script.append(("solve", ()))
+    return 50, script
+
+
+def script_assumptions():
+    rng = random.Random(0xA55)
+    script = [("add", random_3cnf(rng, 60, 220))]
+    for _ in range(8):
+        vs = rng.sample(range(60), rng.randint(2, 6))
+        script.append(
+            ("solve", [2 * v + (rng.random() < 0.5) for v in vs]))
+    return 60, script
+
+
+def script_php():
+    return 20, [("add", php_clauses(5, 4)), ("solve", ())]
+
+
+SCRIPTS = {"3cnf": script_3cnf, "incremental": script_incremental,
+           "assumptions": script_assumptions, "php_5_4": script_php}
+
+
+def trajectory(num_vars, script):
+    """``(result, last_call_stats)`` per solve, then the final
+    ``stats()``; inprocessing on, proofs and profiling off."""
+    with use_simplify(True), use_proofs(False), use_sat_profile(False):
+        solver = Solver()
+    solver.new_vars(num_vars)
+    steps = []
+    for op, payload in script:
+        if op == "add":
+            for clause in payload:
+                solver.add_clause(list(clause))
+        else:
+            result = solver.solve(list(payload))
+            steps.append((result, dict(solver.last_call_stats)))
+    return steps, solver.stats()
+
+
+#: ``(steps, final stats())`` per script; the module docstring says
+#: when to re-pin.
+PINNED = {
+    "3cnf": (
+        [
+            ("unsat",
+             {"conflicts": 1932, "decisions": 2319, "propagations": 56903,
+              "restarts": 9, "simplify_eliminated_vars": 4,
+              "simplify_rounds": 1}),
+        ],
+        {"conflicts": 1932, "decisions": 2319, "propagations": 56903,
+         "restarts": 9, "simplify_eliminated_vars": 4, "simplify_rounds": 1},
+    ),
+    "incremental": (
+        [
+            ("sat",
+             {"conflicts": 0, "decisions": 50, "propagations": 50,
+              "restarts": 0, "simplify_eliminated_vars": 36,
+              "simplify_rounds": 1}),
+            ("sat",
+             {"conflicts": 0, "decisions": 24, "propagations": 50,
+              "restarts": 0, "simplify_eliminated_vars": 0,
+              "simplify_restored_vars": 0, "simplify_rounds": 0}),
+            ("sat",
+             {"conflicts": 2, "decisions": 19, "propagations": 67,
+              "restarts": 0, "simplify_eliminated_vars": 0,
+              "simplify_restored_vars": 0, "simplify_rounds": 0}),
+            ("sat",
+             {"conflicts": 47, "decisions": 57, "propagations": 690,
+              "restarts": 0, "simplify_eliminated_vars": 0,
+              "simplify_restored_vars": 0, "simplify_rounds": 0}),
+            ("unsat",
+             {"conflicts": 37, "decisions": 40, "propagations": 557,
+              "restarts": 0, "simplify_eliminated_vars": 0,
+              "simplify_restored_vars": 0, "simplify_rounds": 0}),
+        ],
+        {"conflicts": 86, "decisions": 190, "propagations": 1414,
+         "restarts": 0, "simplify_eliminated_vars": 36,
+         "simplify_restored_vars": 36, "simplify_rounds": 1},
+    ),
+    "assumptions": (
+        [
+            ("sat",
+             {"conflicts": 1, "decisions": 15, "propagations": 68,
+              "restarts": 0, "simplify_eliminated_vars": 3,
+              "simplify_rounds": 1}),
+            ("sat",
+             {"conflicts": 2, "decisions": 15, "propagations": 83,
+              "restarts": 0, "simplify_eliminated_vars": 0,
+              "simplify_rounds": 0}),
+            ("sat",
+             {"conflicts": 2, "decisions": 13, "propagations": 88,
+              "restarts": 0, "simplify_eliminated_vars": 0,
+              "simplify_rounds": 0}),
+            ("sat",
+             {"conflicts": 0, "decisions": 17, "propagations": 60,
+              "restarts": 0, "simplify_eliminated_vars": 0,
+              "simplify_rounds": 0}),
+            ("sat",
+             {"conflicts": 10, "decisions": 34, "propagations": 234,
+              "restarts": 0, "simplify_eliminated_vars": 0,
+              "simplify_rounds": 0}),
+            ("unsat",
+             {"conflicts": 11, "decisions": 13, "propagations": 168,
+              "restarts": 0, "simplify_eliminated_vars": 0,
+              "simplify_rounds": 0}),
+            ("unsat",
+             {"conflicts": 5, "decisions": 6, "propagations": 80,
+              "restarts": 0, "simplify_eliminated_vars": 0,
+              "simplify_rounds": 0}),
+            ("unsat",
+             {"conflicts": 4, "decisions": 3, "propagations": 77,
+              "restarts": 0, "simplify_eliminated_vars": 0,
+              "simplify_restored_vars": 1, "simplify_rounds": 0}),
+        ],
+        {"conflicts": 35, "decisions": 116, "propagations": 858, "restarts": 0,
+         "simplify_eliminated_vars": 3, "simplify_restored_vars": 1,
+         "simplify_rounds": 1},
+    ),
+    "php_5_4": (
+        [
+            ("unsat",
+             {"conflicts": 26, "decisions": 32, "propagations": 189,
+              "restarts": 0, "simplify_eliminated_vars": 5,
+              "simplify_rounds": 1}),
+        ],
+        {"conflicts": 26, "decisions": 32, "propagations": 189, "restarts": 0,
+         "simplify_eliminated_vars": 5, "simplify_rounds": 1},
+    ),
+}
+
+
+class TestPinnedTrajectories:
+    @pytest.mark.parametrize("name", sorted(SCRIPTS))
+    def test_counter_trajectory_is_pinned(self, name):
+        steps, final = trajectory(*SCRIPTS[name]())
+        pinned_steps, pinned_final = PINNED[name]
+        assert steps == pinned_steps
+        assert final == pinned_final
 
 
 @pytest.mark.bench
 class TestOracleStress:
-    """Larger randomized sweeps; excluded from tier-1 (-m 'not bench')."""
+    """Larger randomized sweeps; excluded from tier-1 (-m 'not bench').
+    Too large for brute force: models are clause-checked and UNSAT
+    proofs DRAT-checked."""
 
     def test_large_random_sweep(self):
         rng = random.Random(0xBEEF)
@@ -381,28 +491,14 @@ class TestOracleStress:
                 script.append(
                     ("solve",
                      [2 * v + (rng.random() < 0.5) for v in vs]))
-            legacy = run_script(LegacySolver, nv, script)
-            flat = run_script(FlatSolver, nv, script)
-            assert legacy == flat, f"trial {trial}"
+            run_refereed(nv, script, brute=False)
 
-    def test_php_reduce_db_and_restarts_agree(self):
+    def test_php_reduce_db_and_restarts_certify(self):
         # Big enough to trigger learnt-DB reduction and restarts.
-        def php(core):
-            s = core()
-            pigeons, holes = 7, 6
-            var = {(p, h): s.new_var() for p in range(pigeons)
-                   for h in range(holes)}
-            for p in range(pigeons):
-                s.add_clause([2 * var[p, h] for h in range(holes)])
-            for h in range(holes):
-                for p1 in range(pigeons):
-                    for p2 in range(p1 + 1, pigeons):
-                        s.add_clause([2 * var[p1, h] + 1,
-                                      2 * var[p2, h] + 1])
-            result = s.solve()
-            return (result, s.learnt_lits(), s.stats())
-
-        legacy = php(LegacySolver)
-        flat = php(FlatSolver)
-        assert legacy[0] == UNSAT
-        assert legacy == flat
+        clauses = php_clauses(7, 6)
+        solver = certified_solver(42)
+        for clause in clauses:
+            solver.add_clause(clause)
+        assert solver.solve() == UNSAT
+        assert solver.restarts > 0
+        referee(solver, UNSAT, clauses, brute=False)

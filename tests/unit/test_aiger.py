@@ -94,6 +94,25 @@ class TestParse:
         with pytest.raises(NetlistError):
             parse_aiger("aag 2 0 1 0 0\n2 2 4\n")
 
+    @pytest.mark.parametrize("text", [
+        "aag 2 1 0 1 1\n2\n4\n4 2\n",      # AND line missing rhs1
+        "aag 2 1 0 1 1\n2\n4\n4 2 x\n",    # non-numeric AND field
+        "aag 1 1 0 0 0\nx\n",                # non-numeric input
+        "aag 1 0 1 0 0\n2\n",                # latch line missing next
+        "aag 1 1 0 1 0\n2\n-2\n",           # negative output literal
+    ])
+    def test_malformed_body_line_raises_netlist_error(self, text):
+        # Mutation-fuzz finds: these used to escape as IndexError /
+        # ValueError from the body-line parsing.
+        with pytest.raises(NetlistError, match="malformed AIGER"):
+            parse_aiger(text)
+
+    def test_symbol_line_without_kind_raises_netlist_error(self):
+        # A symbol line starting with a space used to raise
+        # IndexError on its empty kind token.
+        with pytest.raises(NetlistError, match="symbol line"):
+            parse_aiger(AND2 + " a\n")
+
 
 #: Binary rendition of AND2 (inputs implicit; one AND, delta-coded).
 AND2_BIN = b"aig 3 2 0 1 1\n6\n\x02\x02i0 a\ni1 b\no0 and_ab\n"
@@ -177,6 +196,20 @@ class TestParseBinary:
         with pytest.raises(NetlistError,
                            match=r"M \(5\) must equal I \+ L \+ A"):
             parse_aiger(b"aig 5 2 0 1 1\n6\n\x02\x02")
+
+    @pytest.mark.parametrize("data", [
+        b"aig 1 0 1 0 0\n2 x\n",      # non-numeric latch init
+        b"aig 1 0 1 0 0\nx\n",        # non-numeric latch next
+        b"aig 1 0 1 1 0\n2\n\x02\n",  # non-numeric output
+    ])
+    def test_malformed_line_raises_netlist_error(self, data):
+        # Mutation-fuzz finds: these used to escape as ValueError.
+        with pytest.raises(NetlistError, match="malformed AIGER"):
+            parse_aiger(data)
+
+    def test_binary_symbol_line_without_kind_raises_netlist_error(self):
+        with pytest.raises(NetlistError, match="symbol line"):
+            parse_aiger(AND2_BIN + b" a\n")
 
     def test_rejects_bad_state_literal_out_of_range(self):
         # A B (bad-state) line referencing a variable beyond M must

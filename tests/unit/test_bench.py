@@ -62,6 +62,11 @@ class TestParseBench:
         with pytest.raises(NetlistError):
             parse_bench("INPUT(a)\nOUTPUT(b)\nb = NOT(zzz)\n")
 
+    def test_dff_with_undefined_fanin_raises(self):
+        # Mutation-fuzz find: used to escape as KeyError.
+        with pytest.raises(NetlistError, match="undefined signal 'b'"):
+            parse_bench("INPUT(a)\nOUTPUT(q)\nq = DFF(b)\n")
+
     def test_unknown_gate_raises(self):
         with pytest.raises(NetlistError):
             parse_bench("INPUT(a)\nOUTPUT(b)\nb = FROB(a)\n")

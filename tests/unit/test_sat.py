@@ -1,9 +1,4 @@
-"""Unit tests for the CDCL SAT solver and CNF utilities.
-
-``Solver`` below is the facade (whichever core is enabled — flat by
-default); layout-sensitive tests parametrize over both cores
-explicitly.
-"""
+"""Unit tests for the CDCL SAT solver and CNF utilities."""
 
 import heapq
 import itertools
@@ -16,8 +11,6 @@ from repro.sat import (
     SAT,
     UNKNOWN,
     UNSAT,
-    FlatSolver,
-    LegacySolver,
     Solver,
     from_dimacs_lit,
     lit_not,
@@ -25,13 +18,8 @@ from repro.sat import (
     lit_var,
     neg,
     pos,
-    set_debug_checks,
     to_dimacs_lit,
-    use_flat,
 )
-
-#: Both data-layout cores; they must behave identically.
-CORES = [LegacySolver, FlatSolver]
 
 
 def brute_force_sat(num_vars, clauses):
@@ -302,14 +290,12 @@ class TestSolverStress:
             assert all(s.model[v] for v in vs)
 
 
-@pytest.mark.parametrize("core", CORES)
 class TestBulkLoad:
     """new_vars + add_clauses_bulk: the template stamping fast path
-    must leave the solver state-identical to the slow path, on both
-    cores."""
+    must leave the solver state-identical to the slow path."""
 
-    def test_new_vars_matches_repeated_new_var(self, core):
-        a, b = core(), core()
+    def test_new_vars_matches_repeated_new_var(self):
+        a, b = Solver(), Solver()
         for _ in range(7):
             a.new_var()
         base = b.new_vars(7)
@@ -323,10 +309,10 @@ class TestBulkLoad:
         assert b.new_vars(-3) == 7
         assert b.num_vars == 7
 
-    def test_bulk_matches_individual_adds(self, core):
+    def test_bulk_matches_individual_adds(self):
         clauses = [[pos(0), neg(1)], [pos(1), pos(2), neg(3)],
                    [neg(0), pos(3)]]
-        a, b = core(), core()
+        a, b = Solver(), Solver()
         a.new_vars(4)
         b.new_vars(4)
         for cl in clauses:
@@ -335,10 +321,9 @@ class TestBulkLoad:
         assert a.clause_lits() == b.clause_lits()
         assert a.solve() == b.solve() == SAT
 
-    def test_bulk_normalises_assigned_literals_like_add_clause(
-            self, core):
+    def test_bulk_normalises_assigned_literals_like_add_clause(self):
         def build(use_bulk):
-            s = core()
+            s = Solver()
             s.new_vars(5)
             assert s.add_clause([pos(0)])  # level-0 assignment
             batch = [
@@ -356,64 +341,37 @@ class TestBulkLoad:
 
         assert build(False) == build(True)
 
-    def test_bulk_unit_outcome_propagates(self, core):
-        s = core()
+    def test_bulk_unit_outcome_propagates(self):
+        s = Solver()
         s.new_vars(3)
         assert s.add_clause([neg(1)])
         # [1, 2] loses the falsified literal 1 -> unit on 2.
         assert s.add_clauses_bulk([[pos(1), pos(2)]])
         assert s.assignment()[2] is True
 
-    def test_bulk_empty_outcome_is_unsat(self, core):
-        s = core()
+    def test_bulk_empty_outcome_is_unsat(self):
+        s = Solver()
         s.new_vars(2)
         assert s.add_clause([neg(0)])
         assert s.add_clause([neg(1)])
         assert not s.add_clauses_bulk([[pos(0), pos(1)]])
         assert s.solve() == UNSAT
 
-    def test_bulk_after_prior_unsat_is_noop(self, core):
-        s = core()
+    def test_bulk_after_prior_unsat_is_noop(self):
+        s = Solver()
         s.new_vars(1)
         assert s.add_clause([pos(0)])
         assert not s.add_clause([neg(0)])
         assert not s.add_clauses_bulk([[pos(0), neg(0)]])
 
 
-class TestCoreToggle:
-    """The Solver facade dispatches on the use_flat toggle."""
-
-    def test_default_core_is_flat(self):
-        assert isinstance(Solver(), FlatSolver)
-
-    def test_use_flat_scopes_the_core(self):
-        with use_flat(False):
-            assert isinstance(Solver(), LegacySolver)
-            with use_flat(True):
-                assert isinstance(Solver(), FlatSolver)
-            assert isinstance(Solver(), LegacySolver)
-        assert isinstance(Solver(), FlatSolver)
-
-    def test_both_cores_are_solvers(self):
-        assert isinstance(FlatSolver(), Solver)
-        assert isinstance(LegacySolver(), Solver)
-
-    def test_direct_core_construction_ignores_toggle(self):
-        with use_flat(True):
-            assert type(LegacySolver()) is LegacySolver
-        with use_flat(False):
-            assert type(FlatSolver()) is FlatSolver
-
-
-@pytest.mark.parametrize("core", CORES)
 class TestVsidsRescale:
     """Regression for the stale-heap-key bug: rescaling activities
     past 1e100 must rebuild the lazy-deletion heap, or _pick_branch
     keeps popping variables in pre-rescale priority order."""
 
-    def test_decisions_follow_current_activities_after_rescale(
-            self, core):
-        s = core()
+    def test_decisions_follow_current_activities_after_rescale(self):
+        s = Solver()
         a, b = s.new_var(), s.new_var()
         # Stale heap entries carrying near-overflow keys.
         s._activity[a] = 9e99
@@ -431,8 +389,8 @@ class TestVsidsRescale:
         lit = s._pick_branch()
         assert lit is not None and lit >> 1 == b
 
-    def test_rescaled_heap_has_no_stale_keys(self, core):
-        s = core()
+    def test_rescaled_heap_has_no_stale_keys(self):
+        s = Solver()
         vs = [s.new_var() for _ in range(4)]
         s._var_inc = 6e99
         for v in vs:
@@ -444,11 +402,10 @@ class TestVsidsRescale:
 
 class TestDetachIntegrity:
     """A clause missing from a watcher list during detach is real
-    corruption: the flat core always raises; the legacy core keeps
-    its historical silent pass unless debug checks are enabled."""
+    corruption, and always raises."""
 
     def test_flat_detach_miss_always_raises(self):
-        s = FlatSolver()
+        s = Solver()
         s.new_vars(3)
         assert s.add_clause([pos(0), pos(1), pos(2)])
         cref = s._clauses[0]
@@ -456,30 +413,7 @@ class TestDetachIntegrity:
         with pytest.raises(RuntimeError, match="watcher corruption"):
             s._detach(cref)
 
-    def test_legacy_detach_miss_silent_by_default(self):
-        s = LegacySolver()
-        s.new_vars(3)
-        assert s.add_clause([pos(0), pos(1), pos(2)])
-        clause = s._clauses[0]
-        s._detach(clause)
-        s._detach(clause)  # historical behavior: swallowed
 
-    def test_legacy_detach_miss_raises_under_debug(self):
-        s = LegacySolver()
-        s.new_vars(3)
-        assert s.add_clause([pos(0), pos(1), pos(2)])
-        clause = s._clauses[0]
-        s._detach(clause)
-        previous = set_debug_checks(True)
-        try:
-            with pytest.raises(RuntimeError,
-                               match="watcher corruption"):
-                s._detach(clause)
-        finally:
-            set_debug_checks(previous)
-
-
-@pytest.mark.parametrize("core", CORES)
 class TestAddCnfBulkRouting:
     """add_cnf routes pre-validated clauses through the bulk fast
     path; the resulting state must stay element-wise identical to
@@ -496,9 +430,9 @@ class TestAddCnfBulkRouting:
         cnf.add_clause([neg(3), neg(5)])               # bulk
         return cnf
 
-    def test_add_cnf_matches_per_clause_loading(self, core):
+    def test_add_cnf_matches_per_clause_loading(self):
         cnf = self._mixed_cnf()
-        a, b = core(), core()
+        a, b = Solver(), Solver()
         assert a.add_cnf(cnf)
         b._ensure_var(cnf.num_vars - 1)
         for cl in cnf.clauses:
@@ -509,9 +443,8 @@ class TestAddCnfBulkRouting:
         assert a.trail_lits() == b.trail_lits()
         assert a.solve() == b.solve()
 
-    def test_add_cnf_actually_uses_bulk_runs(self, core,
-                                             monkeypatch):
-        s = core()
+    def test_add_cnf_actually_uses_bulk_runs(self, monkeypatch):
+        s = Solver()
         batches = []
         original = s.add_clauses_bulk
 
@@ -524,11 +457,11 @@ class TestAddCnfBulkRouting:
         # Maximal runs between slow-path clauses: [2], [1], [1].
         assert batches == [2, 1, 1]
 
-    def test_add_cnf_detects_unsat(self, core):
+    def test_add_cnf_detects_unsat(self):
         cnf = CNF()
         cnf.add_clause([pos(0), pos(1)])
         cnf.add_clause([pos(0)])
         cnf.add_clause([neg(0)])
-        s = core()
+        s = Solver()
         assert not s.add_cnf(cnf)
         assert s.solve() == UNSAT

@@ -1,11 +1,4 @@
-"""Unit tests for the inprocessing pass (:mod:`repro.sat.simplify`).
-
-The simplifier's driver is shared by both solver cores through the
-``_simp_*`` primitive layer, so every behavioural test here runs
-against :class:`LegacySolver` and :class:`FlatSolver` and asserts the
-same outcome — the dual-path oracle contract extended over
-inprocessing.
-"""
+"""Unit tests for the inprocessing pass (:mod:`repro.sat.simplify`)."""
 
 import pytest
 
@@ -13,13 +6,10 @@ from repro.cert.drat import check_proof
 from repro.sat import (
     SAT,
     UNSAT,
-    FlatSolver,
-    LegacySolver,
     Solver,
     set_debug_checks,
     set_simplify_enabled,
     simplify_enabled,
-    use_flat,
     use_proofs,
     use_simplify,
 )
@@ -31,9 +21,6 @@ from repro.sat.simplify import (
     _signature,
     simplify_round,
 )
-
-#: Both data-layout cores; the simplifier must drive them identically.
-CORES = [LegacySolver, FlatSolver]
 
 
 def P(var):
@@ -96,10 +83,9 @@ class TestHelpers:
         assert status == "sat" and kept is None
 
 
-@pytest.mark.parametrize("core", CORES)
 class TestSubsumptionAndStrengthening:
-    def test_subsumed_clause_is_deleted(self, core):
-        s = core()
+    def test_subsumed_clause_is_deleted(self):
+        s = Solver()
         s.new_vars(3)
         for v in range(3):  # isolate subsumption from elimination
             s.freeze(v)
@@ -111,8 +97,8 @@ class TestSubsumptionAndStrengthening:
                    for c in s.clause_lits())
         assert s.stats()["simplify_subsumed"] == 1
 
-    def test_self_subsuming_resolution_strengthens(self, core):
-        s = core()
+    def test_self_subsuming_resolution_strengthens(self):
+        s = Solver()
         s.new_vars(3)
         for v in range(3):
             s.freeze(v)
@@ -125,8 +111,8 @@ class TestSubsumptionAndStrengthening:
         assert all(N(0) not in c for c in s.clause_lits())
         assert s.stats()["simplify_strengthened"] >= 1
 
-    def test_level0_satisfied_clause_removed(self, core):
-        s = core()
+    def test_level0_satisfied_clause_removed(self):
+        s = Solver()
         s.new_vars(3)
         s.add_clause([P(0)])
         s.add_clause([P(0), P(1), P(2)])
@@ -134,10 +120,10 @@ class TestSubsumptionAndStrengthening:
         assert simplify_round(s)
         assert all(P(0) not in c for c in s.clause_lits())
 
-    def test_strengthening_to_unit_propagates(self, core):
+    def test_strengthening_to_unit_propagates(self):
         # {a} + {~a, b} strengthens the binary to the unit {b}, which
         # must be asserted, not stored.
-        s = core()
+        s = Solver()
         s.new_vars(2)
         s.add_clause([P(0)])
         s.add_clause([N(0), P(1)])
@@ -147,10 +133,9 @@ class TestSubsumptionAndStrengthening:
         assert s.model == [True, True]
 
 
-@pytest.mark.parametrize("core", CORES)
 class TestVariableElimination:
-    def test_eliminated_variable_reconstructed_in_model(self, core):
-        s = core()
+    def test_eliminated_variable_reconstructed_in_model(self):
+        s = Solver()
         s.new_vars(3)
         clauses = [[P(0), P(1)], [N(0), P(2)]]
         for c in clauses:
@@ -163,8 +148,8 @@ class TestVariableElimination:
         assert len(s.model) == 3
         check_model(s.model, clauses)
 
-    def test_frozen_variable_is_never_eliminated(self, core):
-        s = core()
+    def test_frozen_variable_is_never_eliminated(self):
+        s = Solver()
         s.new_vars(3)
         for v in range(3):
             s.freeze(v)
@@ -174,11 +159,11 @@ class TestVariableElimination:
         assert s.stats().get("simplify_eliminated_vars", 0) == 0
         assert sorted(s.clause_lits()) == [(P(0), P(1)), (N(0), P(2))]
 
-    def test_assumptions_freeze_their_variables(self, core):
+    def test_assumptions_freeze_their_variables(self):
         # Variable 0 would be eliminated by a round fired inside
         # solve(); assuming ~a must still work on later calls because
         # _search freezes (and restores) assumption variables.
-        s = core()
+        s = Solver()
         s.new_vars(3)
         clauses = [[P(0), P(1)], [N(0), P(2)], [P(1), P(2)]]
         for c in clauses:
@@ -189,8 +174,8 @@ class TestVariableElimination:
         assert model[0] is False and model[2] is False
         check_model(model, clauses)
 
-    def test_reintroducing_eliminated_variable_restores(self, core):
-        s = core()
+    def test_reintroducing_eliminated_variable_restores(self):
+        s = Solver()
         s.new_vars(3)
         clauses = [[P(0), P(1)], [N(0), P(2)]]
         for c in clauses:
@@ -208,8 +193,8 @@ class TestVariableElimination:
         assert result == UNSAT
         assert s.stats()["simplify_restored_vars"] >= 1
 
-    def test_high_occurrence_variable_skipped(self, core):
-        s = core()
+    def test_high_occurrence_variable_skipped(self):
+        s = Solver()
         n = BVE_MAX_OCC + 2
         s.new_vars(n + 1)
         for v in range(1, n + 1):  # only variable 0 is a candidate
@@ -223,11 +208,10 @@ class TestVariableElimination:
         assert any(l >> 1 == 0 for c in s.clause_lits() for l in c)
 
 
-@pytest.mark.parametrize("core", CORES)
 class TestCertifiedSimplification:
-    def test_unsat_after_explicit_round_proof_checks(self, core):
+    def test_unsat_after_explicit_round_proof_checks(self):
         with use_proofs(True):
-            s = core()
+            s = Solver()
         php_clauses(s, 3, 2)
         # Fodder over fresh variables so the round exercises
         # subsumption, strengthening, and elimination before search.
@@ -243,12 +227,12 @@ class TestCertifiedSimplification:
         result = check_proof(s.proof)
         assert result.ok, result.errors[:3]
 
-    def test_php_with_inprocessing_restarts_proof_checks(self, core):
+    def test_php_with_inprocessing_restarts_proof_checks(self):
         # Large enough to restart and fire rounds naturally inside
         # solve(); the checker must accept the interleaved
         # subsumption/strengthening/elimination proof lines.
         with use_proofs(True):
-            s = core()
+            s = Solver()
         s._use_simplify = True
         php_clauses(s, 6, 5)
         assert s.solve() == UNSAT
@@ -258,15 +242,14 @@ class TestCertifiedSimplification:
         assert result.deletions > 0
 
 
-@pytest.mark.parametrize("core", CORES)
 class TestStatsMidLifetime:
-    def test_counters_appearing_mid_lifetime_delta_correctly(self, core):
+    def test_counters_appearing_mid_lifetime_delta_correctly(self):
         # Regression: simplify_* keys first appear in stats() when a
         # round fires *inside* a solve() call; the per-call delta must
         # treat the missing before-value as zero instead of raising or
         # reporting garbage.  The first call runs with the simplifier
         # off so the keys genuinely do not exist yet.
-        s = core()
+        s = Solver()
         s._use_simplify = False
         s.new_vars(2)
         s.add_clause([P(0), P(1)])
@@ -282,8 +265,8 @@ class TestStatsMidLifetime:
         for key, total in now.items():
             assert s.last_call_stats[key] == total - before.get(key, 0)
 
-    def test_direct_round_counters_survive_a_noop_solve(self, core):
-        s = core()
+    def test_direct_round_counters_survive_a_noop_solve(self):
+        s = Solver()
         s.new_vars(3)
         s.add_clause([P(0), P(1)])
         s.add_clause([P(0), P(1), P(2)])
@@ -294,12 +277,11 @@ class TestStatsMidLifetime:
         assert s.last_call_stats.get("simplify_subsumed", 0) == 0
 
 
-@pytest.mark.parametrize("core", CORES)
 class TestDebugWatchInvariant:
-    def test_watches_hold_after_strengthening_rounds(self, core):
+    def test_watches_hold_after_strengthening_rounds(self):
         previous = set_debug_checks(True)
         try:
-            s = core()
+            s = Solver()
             s._use_simplify = True
             s.new_vars(4)
             s.add_clause([P(0), P(1), P(2)])
@@ -313,20 +295,15 @@ class TestDebugWatchInvariant:
         finally:
             set_debug_checks(previous)
 
-    def test_corrupted_watcher_is_detected(self, core):
-        s = core()
+    def test_corrupted_watcher_is_detected(self):
+        s = Solver()
         s.new_vars(3)
         s.add_clause([P(0), P(1), P(2)])
         s._debug_check_watches()
-        if core is LegacySolver:
-            clause = s._clauses[0]
-            clause.lits = [clause.lits[2], clause.lits[1],
-                           clause.lits[0]]
-        else:
-            cref = s._clauses[0]
-            arena = s._arena
-            base = cref + 2
-            arena[base], arena[base + 2] = arena[base + 2], arena[base]
+        cref = s._clauses[0]
+        arena = s._arena
+        base = cref + 2
+        arena[base], arena[base + 2] = arena[base + 2], arena[base]
         with pytest.raises(RuntimeError):
             s._debug_check_watches()
 
@@ -348,12 +325,11 @@ class TestToggleAndFacade:
             set_simplify_enabled(original)
 
     def test_verdicts_identical_with_and_without_simplify(self):
-        def run(flat, simp):
-            with use_flat(flat), use_simplify(simp):
+        def run(simp):
+            with use_simplify(simp):
                 s = Solver()
             php_clauses(s, 6, 5)
             return s.solve()
 
-        results = {run(flat, simp)
-                   for flat in (False, True) for simp in (False, True)}
+        results = {run(simp) for simp in (False, True)}
         assert results == {UNSAT}
