@@ -12,10 +12,11 @@ The engine reproduced here follows the classic van Eijk scheme:
 1. ternary constant propagation seeds constant merges,
 2. random simulation from the initial states partitions vertices into
    candidate equivalence classes,
-3. the candidate relation is refined to an inductive fixpoint — assume
-   all candidates equal on a free current frame, require each pair
-   equal on the next frame (SAT); failures split their class — and
-   checked on an initial-state-constrained base frame,
+3. the classes are refined by signal correspondence, first on an
+   initial-state-constrained base frame, then to an inductive fixpoint:
+   one SAT query per step asks whether some candidate pair can differ
+   on the next frame while every class holds on a free current frame,
+   and its model splits every class at once,
 4. surviving classes are merged onto their topologically-shallowest
    representative and the netlist is rebuilt (hash-consing doubles as
    the structural-analysis merge pass).
@@ -39,7 +40,7 @@ from ..netlist import (
     topological_order,
 )
 from ..resilience import Budget, Cancelled
-from ..sat import UNSAT, CnfSink, Solver, encode_frame, \
+from ..sat import SAT, UNSAT, CnfSink, Solver, encode_frame, \
     encode_init_state, encode_mux, lit_not, pos
 from ..sat.template import get_template, netlist_has_const0, \
     templates_enabled
@@ -50,18 +51,19 @@ from ..sim import constant_state_elements, random_signatures
 class SweepConfig:
     """Tunables for the sweeping engine.
 
-    ``max_rounds`` caps the inductive refinement; the refinement must
-    reach a *fixpoint* for the surviving merges to be sound (each
-    survivor's proof assumes the other candidates), so if the cap is
-    hit while classes are still splitting, ALL remaining candidate
-    classes are discarded.  ``None`` (the default) iterates to the
-    fixpoint, which is reached after at most one round per candidate
-    pair.
+    ``max_rounds`` caps the inductive refinement steps (one all-pairs
+    step query each, plus the bisection re-asks below).  The
+    refinement must reach a *fixpoint* for the surviving merges to be
+    sound (each survivor's proof assumes the other candidates), so if
+    the cap is hit while classes are still splitting, ALL remaining
+    candidate classes are discarded.  ``None`` (the default) iterates
+    to the fixpoint, reached within one step per candidate pair.
 
     ``conflict_budget`` follows the ``Solver.solve`` contract (None =
     unlimited, ``n >= 0`` = per-query cap) and applies to every sweep
-    query individually; an inconclusive query simply drops its pair,
-    which is always sound.
+    query individually.  An inconclusive query is re-asked on each
+    half of its pairs; an inconclusive single pair is dropped (its
+    member leaves the class), which is always sound.
     """
 
     sim_cycles: int = 16
@@ -86,7 +88,6 @@ class _InductiveChecker:
 
     def __init__(self, net: Netlist, config: SweepConfig,
                  budget: Optional[Budget] = None) -> None:
-        self.net = net
         self.config = config
         self.budget = budget
         # One "frame" template serves all three encodes below: frame 0
@@ -146,67 +147,82 @@ class _InductiveChecker:
                 self.base_frame = encode_frame(net, base_sink,
                                                dict(base_state))
 
-    def assume_lits(self, classes: List[List[int]]) -> List[int]:
-        """Assumption literals asserting all candidate pairs equal on
-        frame 0 (via fresh equality indicators)."""
-        sink = CnfSink(self.step_solver)
+    def refine(self, classes: List[List[int]],
+               base: bool) -> Optional[List[List[int]]]:
+        """One refinement step: can some pair differ on the base frame
+        (or on frame 1, given every class equality on frame 0)?
+        Returns ``classes`` itself when not, else a strictly finer
+        partition split by the model (and the bisection's drops); None
+        when the budget drains mid-step."""
+        solver = self.base_solver if base else self.step_solver
+        frame = self.base_frame if base else self.frame1
+        sink = CnfSink(solver)
+        pairs = [(cls[0], other) for cls in classes for other in cls[1:]]
         assumptions = []
+        for a, b in ([] if base else pairs):
+            # eq -> (a <-> b) on frame 0
+            eq = pos(solver.new_var())
+            la, lb = self.frame0[a], self.frame0[b]
+            sink.add_clause([lit_not(eq), lit_not(la), lb])
+            sink.add_clause([lit_not(eq), la, lit_not(lb)])
+            assumptions.append(eq)
+        diffs = []
+        for a, b in pairs:
+            # diff -> (a xor b)  (one direction suffices)
+            diff = pos(solver.new_var())
+            la, lb = frame[a], frame[b]
+            sink.add_clause([lit_not(diff), la, lb])
+            sink.add_clause([lit_not(diff), lit_not(la), lit_not(lb)])
+            diffs.append((diff, a, b))
+        retired = assumptions + [diff for diff, _, _ in diffs]
+        model: List[bool] = []
+
+        def value(v: int) -> bool:
+            lit = frame[v]
+            return model[lit >> 1] != bool(lit & 1)
+
+        dropped: Set[int] = set()
+        pending = [diffs]
+        while pending:
+            if _budget_drained(self.budget):
+                return None  # the sweep is abandoned with its solvers
+            chunk = pending.pop()
+            act = pos(solver.new_var())
+            sink.add_clause([lit_not(act)] + [d for d, _, _ in chunk])
+            retired.append(act)
+            obs.counter("com.sat_queries")
+            result = solver.solve(assumptions + [act],
+                                  conflict_budget=self.config.conflict_budget,
+                                  budget=self.budget)
+            if result == UNSAT:
+                continue
+            if result == SAT:
+                model = solver.model
+                # A model splits at least one of its pairs; one that
+                # does not (a corrupted answer) counts as inconclusive.
+                if any(value(a) != value(b) for _, a, b in chunk):
+                    break
+                model = []
+            if len(chunk) == 1:
+                dropped.add(chunk[0][2])
+            else:
+                half = len(chunk) // 2
+                pending += [chunk[half:], chunk[:half]]
+        # Retire every one-shot literal with a level-0 unit, which
+        # satisfies its guard clauses for good: live leftovers would
+        # cost every later query decisions and propagations.
+        for lit in retired:
+            solver.add_clause([lit_not(lit)])
+        if not model and not dropped:
+            return classes
+        refined = []
         for cls in classes:
-            rep = cls[0]
-            for other in cls[1:]:
-                eq = pos(self.step_solver.new_var())
-                a, b = self.frame0[rep], self.frame0[other]
-                # eq -> (a <-> b)
-                sink.add_clause([lit_not(eq), lit_not(a), b])
-                sink.add_clause([lit_not(eq), a, lit_not(b)])
-                assumptions.append(eq)
-        return assumptions
-
-    def pair_holds_inductively(self, a: int, b: int,
-                               assumptions: List[int]) -> bool:
-        """UNSAT of ``assumptions AND frame1[a] != frame1[b]``."""
-        solver = self.step_solver
-        diff = pos(solver.new_var())
-        la, lb = self.frame1[a], self.frame1[b]
-        sink = CnfSink(solver)
-        # diff -> (a xor b)  (one direction suffices for the query)
-        sink.add_clause([lit_not(diff), la, lb])
-        sink.add_clause([lit_not(diff), lit_not(la), lit_not(lb)])
-        obs.counter("com.sat_queries")
-        result = solver.solve(assumptions + [diff],
-                              conflict_budget=self.config.conflict_budget,
-                              budget=self.budget)
-        # Retire the one-shot indicator: a level-0 unit permanently
-        # satisfies its guard clauses and removes the variable from
-        # the decision heap.  Without this, every query leaves a live
-        # unconstrained indicator behind, and the incremental solver
-        # wastes decisions and propagations on the accumulated junk in
-        # all later queries (hundreds per sweep).
-        solver.add_clause([lit_not(diff)])
-        return result == UNSAT
-
-    def pair_holds_at_init(self, a: int, b: int) -> bool:
-        """UNSAT of ``Z AND base[a] != base[b]``."""
-        solver = self.base_solver
-        diff = pos(solver.new_var())
-        la, lb = self.base_frame[a], self.base_frame[b]
-        sink = CnfSink(solver)
-        sink.add_clause([lit_not(diff), la, lb])
-        sink.add_clause([lit_not(diff), lit_not(la), lit_not(lb)])
-        obs.counter("com.sat_queries")
-        result = solver.solve([diff],
-                              conflict_budget=self.config.conflict_budget,
-                              budget=self.budget)
-        solver.add_clause([lit_not(diff)])
-        return result == UNSAT
-
-    def retire_assumptions(self, assumptions: List[int]) -> None:
-        """Retire a round's equality indicators once the round's
-        queries are done (they are never assumed again; the level-0
-        units satisfy their guard clauses for good)."""
-        solver = self.step_solver
-        for eq in assumptions:
-            solver.add_clause([lit_not(eq)])
+            groups: Dict[Tuple[bool, bool], List[int]] = {}
+            for v in cls:
+                key = (v in dropped, bool(model) and value(v))
+                groups.setdefault(key, []).append(v)
+            refined.extend(g for g in groups.values() if len(g) > 1)
+        return refined
 
 
 def _candidate_classes(net: Netlist, config: SweepConfig,
@@ -236,8 +252,9 @@ def redundancy_removal(
     Returns a :class:`TransformResult` whose step is trace-equivalence
     preserving (Theorem 1): the diameter bound of any retained vertex
     set is unchanged.  Instrumented under the ``transform.com`` span
-    with ``com.rounds`` / ``com.sat_queries`` / ``com.merges``
-    counters.
+    with counters ``com.rounds`` (refinement steps, base and
+    inductive), ``com.sat_queries`` (SAT calls, bisection re-asks
+    included) and ``com.merges``.
 
     ``budget`` makes the sweep cooperative: cancellation raises
     :class:`Cancelled`; exhaustion discards every not-yet-verified
@@ -258,6 +275,39 @@ def _budget_drained(budget: Optional[Budget]) -> bool:
     if budget.cancelled:
         raise Cancelled(budget_name=budget.name)
     return budget.exhausted() is not None
+
+
+def _refine(checker: _InductiveChecker, classes: List[List[int]],
+            base: bool, max_steps: Optional[int]) -> List[List[int]]:
+    """Refine ``classes`` to the fixpoint of ``checker.refine``.
+
+    Every changing step removes at least one candidate pair, so the
+    fixpoint arrives within ``total pairs + 1`` steps; ``max_steps``
+    (if set) is a resource valve.  Survivors are only proven under
+    assumptions that may since have been refuted, so a refinement the
+    cap or the budget stops short of its fixpoint returns no classes.
+    """
+    limit = max_steps if max_steps is not None else \
+        sum(len(cls) - 1 for cls in classes) + 1
+    phase = "base" if base else "step"
+    for step in range(limit):
+        if not classes:
+            return classes
+        obs.counter("com.rounds")
+        refined = checker.refine(classes, base)
+        if refined is None:
+            obs.counter("com.budget_aborts")
+            return []
+        changed = refined is not classes
+        classes = refined
+        obs.progress(
+            "com.sweep", phase=phase, round=step, of=limit,
+            classes=len(classes),
+            pairs=sum(len(cls) - 1 for cls in classes),
+            changed=changed)
+        if not changed:
+            return classes
+    return []
 
 
 def _sweep(
@@ -290,68 +340,10 @@ def _sweep(
         classes = []
     if classes:
         checker = _InductiveChecker(work, config, budget)
-        # The refinement removes at least one candidate pair per
-        # changing round, so the fixpoint arrives within `total pairs`
-        # rounds; an explicit cap (if configured) is a resource valve.
-        total_pairs = sum(len(cls) - 1 for cls in classes)
-        limit = total_pairs + 1 if config.max_rounds is None \
-            else config.max_rounds
-        converged = False
-        for round_index in range(limit):
-            if _budget_drained(budget):
-                # Mid-refinement exhaustion: the classes are not at a
-                # fixpoint, so none of the pending proofs stand.
-                obs.counter("com.budget_aborts")
-                classes = []
-                break
-            obs.counter("com.rounds")
-            assumptions = checker.assume_lits(classes)
-            new_classes: List[List[int]] = []
-            changed = False
-            for cls in classes:
-                rep = cls[0]
-                kept = [rep]
-                rest = []
-                for other in cls[1:]:
-                    if checker.pair_holds_inductively(rep, other,
-                                                      assumptions):
-                        kept.append(other)
-                    else:
-                        rest.append(other)
-                        changed = True
-                if len(kept) > 1:
-                    new_classes.append(kept)
-                if len(rest) > 1:
-                    new_classes.append(rest)
-            classes = new_classes
-            checker.retire_assumptions(assumptions)
-            obs.progress(
-                "com.sweep", round=round_index, of=limit,
-                classes=len(classes),
-                pairs=sum(len(cls) - 1 for cls in classes),
-                changed=changed)
-            if not changed:
-                converged = True
-                break
-        if not converged:
-            # Unconverged survivors were only proven under assumptions
-            # that may since have been refuted: merging them would be
-            # unsound.  Drop everything.
-            classes = []
-        # Base case: equivalence must also hold in the initial states.
-        verified: List[List[int]] = []
-        for cls in classes:
-            if _budget_drained(budget):
-                # Classes not yet base-verified are dropped wholesale.
-                obs.counter("com.budget_aborts")
-                break
-            rep = cls[0]
-            kept = [rep]
-            for other in cls[1:]:
-                if checker.pair_holds_at_init(rep, other):
-                    kept.append(other)
-            if len(kept) > 1:
-                verified.append(kept)
+        # Initial states first: a pair the base case dropped after the
+        # step fixpoint would leave standing the proofs that assumed it.
+        classes = _refine(checker, classes, True, None)
+        classes = _refine(checker, classes, False, config.max_rounds)
         levels = _levels(work)
 
         def rep_key(v: int):
@@ -368,7 +360,7 @@ def _sweep(
                 v = substitution[v]
             return v
 
-        for cls in verified:
+        for cls in classes:
             rep = min(cls, key=rep_key)
             for other in cls:
                 if other == rep or other in substitution:
@@ -380,10 +372,6 @@ def _sweep(
     obs.counter("com.merges", len(substitution))
     out, mapping = rebuild(work, substitution=substitution,
                            name=f"{net.name}-{name_suffix}")
-    if work is not net:
-        # Compose the original-vid -> copy-vid identity (copy preserves
-        # ids) with the rebuild mapping; ids are stable across copy().
-        pass
     target_map = {t: mapping.get(t) for t in net.targets}
     step = TransformStep(
         name="COM",

@@ -19,6 +19,7 @@ from repro.gen import iscas89
 from repro.netlist import NetlistBuilder
 from repro.parallel import WorkerOutcome
 from repro.resilience import FAULT_CORRUPT_MODEL, FaultPlan, inject
+from repro.sat import Solver
 from repro.unroll import (
     BOUNDED,
     FALSIFIED,
@@ -146,14 +147,36 @@ class TestProveArbitration:
     structural bound.  There is no retry: the solver is deterministic,
     so a re-run would only repeat a real bug."""
 
-    def test_transient_corruption_degrades(self):
-        # Corruption limited to the first few learnt clauses still
-        # sinks the verdict it reached: the proof check fails once and
-        # the answer is never reported.
+    @staticmethod
+    def first_certified_learnt(net, monkeypatch):
+        """The shared learnt index at which an uninjected certified
+        ``prove(net)`` starts its first proof-logged solve (the clauses
+        COM's sweep learns before it are never certified)."""
+        plan = FaultPlan()
+        starts = []
+        solve = Solver.solve
+
+        def recording_solve(self, *args, **kwargs):
+            if self.proof is not None and not starts:
+                starts.append(plan.learnts)
+            return solve(self, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Solver, "solve", recording_solve)
+            with use_certification(True), inject(plan):
+                prove(net)
+        return starts[0]
+
+    def test_transient_corruption_degrades(self, monkeypatch):
+        # Corruption limited to the first few learnt clauses of the
+        # first certified solve still sinks the verdict it reached:
+        # the proof check fails once and the answer is never reported.
         net = s1269()
+        offset = self.first_certified_learnt(net, monkeypatch)
         with obs.scoped(obs.Registry("cert-int")) as reg:
             with use_certification(True):
-                with inject(FaultPlan(corrupt_learnt=range(3))):
+                corrupt = range(offset, offset + 3)
+                with inject(FaultPlan(corrupt_learnt=corrupt)):
                     result = prove(net)
             snap = reg.snapshot()
         assert result.degraded

@@ -5,11 +5,12 @@ back-translated bound must dominate the exact first-hit time, and
 trace-equivalence-preserving engines must not change target behaviour.
 """
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import PROVEN, TBVEngine
 from repro.diameter import first_hit_time
+from repro.netlist import NetlistBuilder
 from repro.sim import BitParallelSimulator
 from repro.transform import SweepConfig, redundancy_removal, retime
 
@@ -20,6 +21,24 @@ SETTINGS = settings(max_examples=30, deadline=None,
                                            HealthCheck.data_too_large])
 
 FAST = SweepConfig(sim_cycles=6, sim_width=32, conflict_budget=200)
+#: One simulation pattern: coarse candidate classes, so the SAT
+#: refinement (base and step) does nearly all the splitting.
+WEAK = SweepConfig(sim_cycles=1, sim_width=1, conflict_budget=200)
+
+
+def _swapped_registers():
+    """r0 (init 0) and r1 (init i1) swap values every cycle; the
+    target r0 is first hit at time 1.  A sweep that proves the
+    induction step before checking initial states keeps r0 == const-0
+    after dropping only r1, and maps the target to constant 0."""
+    b = NetlistBuilder("swap")
+    b.input("i0")
+    i1 = b.input("i1")
+    r0 = b.register(name="r0")
+    r1 = b.register(r0, init=i1, name="r1")
+    b.connect(r0, r1)
+    b.net.add_target(b.buf(r0, name="t"))
+    return b.net
 
 
 @SETTINGS
@@ -33,6 +52,19 @@ def test_com_preserves_target_traces(net):
     tr_b = BitParallelSimulator(result.netlist).run(
         10, named_stimulus(result.netlist), observe=[mapped])
     assert tr_a[target] == tr_b[mapped]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(small_netlists(max_registers=4, max_inputs=3))
+@example(_swapped_registers())
+def test_com_weak_simulation_keeps_first_hit(net):
+    target = net.targets[0]
+    result = redundancy_removal(net, config=WEAK)
+    mapped = result.step.target_map[target]
+    assert first_hit_time(result.netlist, mapped) == \
+        first_hit_time(net, target)
 
 
 @SETTINGS

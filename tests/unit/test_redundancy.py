@@ -1,9 +1,49 @@
 """Unit tests for the COM (redundancy removal) engine."""
 
-from repro.core import StepKind
+import dataclasses
+
+import pytest
+
+from repro import obs
+from repro.core import PROVEN, StepKind, prove
+from repro.experiments import EXPERIMENT_SWEEP
+from repro.gen import iscas89
 from repro.netlist import GateType, NetlistBuilder, s27
 from repro.sim import BitParallelSimulator
 from repro.transform import SweepConfig, redundancy_removal
+from repro.unroll import FALSIFIED, bmc
+
+#: COM output on stock profiles under ``EXPERIMENT_SWEEP``: the
+#: netlist ``signature()`` and the ``com.merges`` count.  The greatest
+#: inductive refinement of the candidate classes is unique, so these
+#: move only when the sweep's fixpoint does.
+PINNED_SWEEPS = {
+    "S27": ("4b126c386581f251ec526e953ebcc76c"
+            "bc91039fd9a2e38b2e82ebf357fc79cb", 1),
+    "S298": ("d5888ed88a11a964a2df1e09504301d3"
+             "ca0e77574e8b0c41d6708cc74bfaa1c6", 6),
+    "S641": ("bbc7fdd31df31e00a0e8a019c5cd6fdb"
+             "95b5c82c5bcd4458b7cdd4969a802fc2", 5),
+    "S953": ("887b295b897d870d099ef3fb5bab995b"
+             "6869eae344a7ca96d1fa2178dd73fc0b", 12),
+    "S1423": ("65029df803577a1b6b5ceb89121bc850"
+              "c3992282860cf47492f9bcd7917d0bfa", 31),
+}
+
+
+def sweep(net, config):
+    with obs.scoped(obs.Registry("com")) as reg:
+        result = redundancy_removal(net, config=config)
+    return result, reg.counter_value("com.merges")
+
+
+def merged_groups(result):
+    """Original vertices grouped by the output vertex they map to."""
+    groups = {}
+    for vid, out in result.mapping.items():
+        if out is not None:
+            groups.setdefault(out, set()).add(vid)
+    return [g for g in groups.values() if len(g) > 1]
 
 
 def same_behaviour(net_a, net_b, target_a, target_b, cycles=8):
@@ -161,3 +201,51 @@ class TestRedundancyRemoval:
         # still be behaviourally sound.
         mapped = result.step.target_map[net.targets[0]]
         assert same_behaviour(net, result.netlist, net.targets[0], mapped)
+
+    def test_nondeterministic_init_blocks_false_proof(self):
+        # r1 starts at AND(i0..i11) and holds, r2 starts at 0 and
+        # holds, r3 copies r1 a cycle late: the target r3 is hit at
+        # time 1.  Random simulation almost never draws r1 = 1, so
+        # r1, r2, r3 and const-0 start as one candidate class.  The
+        # induction step alone proves that class; only the initial
+        # states split r1 off, and r3 must then fall with it.
+        b = NetlistBuilder("nondet-init")
+        inputs = [b.input(f"i{k}") for k in range(12)]
+        init = inputs[0]
+        for x in inputs[1:]:
+            init = b.and_(init, x)
+        r1 = b.register(None, init=init, name="r1")
+        b.connect(r1, r1)
+        r2 = b.register(None, name="r2")
+        b.connect(r2, r2)
+        r3 = b.register(r1, name="r3")
+        t = b.buf(r3, name="t")
+        b.net.add_target(t)
+        assert bmc(b.net, max_depth=2).status == FALSIFIED
+        result = redundancy_removal(b.net)
+        mapped = result.step.target_map[t]
+        assert result.netlist.gate(mapped).type is not GateType.CONST0
+        assert prove(b.net).status != PROVEN
+
+
+class TestSweepParity:
+    @pytest.mark.parametrize("design", sorted(PINNED_SWEEPS))
+    def test_pinned_output(self, design):
+        result, merges = sweep(iscas89.generate(design), EXPERIMENT_SWEEP)
+        assert (result.netlist.signature(), merges) == \
+            PINNED_SWEEPS[design]
+
+    @pytest.mark.parametrize("design", ["S298", "S953", "S1423"])
+    def test_zero_conflict_budget_merges_a_subset(self, design):
+        net = iscas89.generate(design)
+        full, _ = sweep(net, dataclasses.replace(
+            EXPERIMENT_SWEEP, conflict_budget=None))
+        starved, _ = sweep(net, dataclasses.replace(
+            EXPERIMENT_SWEEP, conflict_budget=0))
+        full_rep = {v: out for out, group in
+                    enumerate(merged_groups(full)) for v in group}
+        for group in merged_groups(starved):
+            assert len({full_rep.get(v, v) for v in group}) == 1
+        for target in net.targets:
+            assert same_behaviour(net, starved.netlist, target,
+                                  starved.step.target_map[target])
