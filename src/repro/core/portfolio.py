@@ -127,10 +127,10 @@ def compare_strategies(
     ``jobs > 1`` fans the strategies across a process pool
     (:mod:`repro.parallel`): outcomes come back in strategy order —
     the per-target minima, and therefore every table derived from
-    them, are identical at any ``jobs`` value — each worker gets an
-    equal pre-split budget slice, a crashed worker becomes a failed
-    outcome (never an aborted portfolio), and worker telemetry lands
-    under ``parallel/portfolio/<strategy>``.
+    them, are identical at any ``jobs`` value — the workers draw on
+    a shared pool of ``budget`` under one deadline, a crashed worker
+    becomes a failed outcome (never an aborted portfolio), and worker
+    telemetry lands under ``parallel/portfolio/<strategy>``.
     """
     if jobs > 1:
         return _compare_strategies_parallel(

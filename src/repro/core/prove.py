@@ -161,7 +161,8 @@ def prove(
     the pool, and the quick-BMC / k-induction probes race as two
     concurrent workers whose results merge in the sequential priority
     order (falsification first, then induction), so the verdict —
-    though not the wall-clock — is the sequential one.
+    though not the wall-clock — is the sequential one.  Each fan-out
+    draws on a shared pool of its phase budget under one deadline.
 
     ``use_cubes`` (None = the global :func:`repro.sat.use_cubes`
     toggle) arms cube-and-conquer inside every BMC / k-induction call

@@ -190,9 +190,10 @@ def run_table(generate: Callable[..., Netlist],
 
     ``jobs > 1`` evaluates the designs across a process pool
     (:mod:`repro.parallel`): rows come back in profile order — the
-    rendered table is byte-identical at any ``jobs`` value — each
-    design runs on an equal pre-split budget slice, and a crashed
-    worker becomes an error row, never an aborted table.
+    rendered table is byte-identical at any ``jobs`` value — the
+    designs draw on a shared pool of ``budget`` under one deadline,
+    and a crashed worker becomes an error row, never an aborted
+    table.
     """
     if jobs > 1:
         return _run_table_parallel(generate, profiles, scale,
@@ -266,11 +267,11 @@ def _run_table_parallel(generate: Callable[..., Netlist],
             return [RowResult(payload["name"],
                               error=f"budget exhausted ({reason})")
                     for payload in payloads]
-    # Work-stealing engine: rows are heterogeneous (one big design can
-    # dwarf the rest), so workers steal from a shared queue instead of
-    # receiving a fixed pre-split; outcomes still merge in submission
-    # order, keeping the rendered table byte-identical at any jobs.
-    executor = ParallelExecutor(jobs=jobs, name="table", stealing=True)
+    # Rows are heterogeneous (one big design can dwarf the rest):
+    # workers steal them from a shared queue, and outcomes still merge
+    # in submission order, keeping the rendered table byte-identical
+    # at any jobs.
+    executor = ParallelExecutor(jobs=jobs, name="table")
     outcomes = executor.map(run_design, payloads, budget=budget,
                             labels=[p["name"] for p in payloads])
     rows: List[RowResult] = []

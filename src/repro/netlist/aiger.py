@@ -45,6 +45,13 @@ from .types import NetlistError
 #: Index of each optional AIGER 1.9 header field after M I L O A.
 _EXTRA_FIELDS = ("B", "C", "J", "F")
 
+#: Largest input count a binary AIGER header may declare.  Binary
+#: inputs are implicit — they take no bytes in the file — so unlike
+#: every other section their count is not bounded by the file length,
+#: and a 30-byte header could otherwise demand gigabytes of nodes.
+#: At 2**20 (about a million inputs) a parse peaks near 130 MB.
+MAX_BINARY_INPUTS = 1 << 20
+
 
 def parse_aiger(data: Union[str, bytes], name: str = "aiger") -> AIG:
     """Parse AIGER (ASCII ``aag`` or binary ``aig``) into an :class:`AIG`.
@@ -205,6 +212,10 @@ def _parse_binary(data: bytes, name: str) -> AIG:
         raise NetlistError("truncated binary AIGER header")
     m, i, l, o, a, b, _, _, _ = \
         _parse_header(data[:end].decode("ascii", "replace"))
+    if i > MAX_BINARY_INPUTS:
+        raise NetlistError(
+            f"binary AIGER header declares {i} inputs; at most "
+            f"{MAX_BINARY_INPUTS} are supported")
     if m != i + l + a:
         raise NetlistError(
             f"malformed binary AIGER header: M ({m}) must equal "

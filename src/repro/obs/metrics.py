@@ -35,11 +35,10 @@ zero-cost when disabled, like the trace layer before it:
 All four live in a :class:`MetricsStore` attached lazily to a
 :class:`~repro.obs.registry.Registry`; the store rides the existing
 ``snapshot()`` / ``merge_snapshot()`` protocol (a ``"metrics"``
-section), so `ParallelExecutor` and the work-stealing engine merge
-worker metrics with **no new plumbing**: histograms, gauges and
-meters merge *un-prefixed* (globally additive, like the ``cert.*``
-counters), while ledger records gain a ``source`` tag naming the
-worker that produced them.
+section), so `ParallelExecutor` merges worker metrics with **no
+new plumbing**: histograms, gauges and meters merge *un-prefixed*
+(globally additive, like the ``cert.*`` counters), while ledger
+records gain a ``source`` tag naming the worker that produced them.
 
 Recording is gated by ``REPRO_METRICS`` / :func:`use_metrics` with
 the same one-global-load fast path as the trace sink: every helper

@@ -1,24 +1,20 @@
 """Parallel strategy/experiment execution (Layer 0.7).
 
 Fans the library's embarrassingly-parallel workloads — portfolio
-strategies, per-design experiment rows, and ``prove()``'s independent
-engine probes — across a ``concurrent.futures.ProcessPoolExecutor``
-while keeping every output **byte-identical** to the sequential run:
-outcomes merge in input order, budgets are pre-split via
-:meth:`~repro.resilience.Budget.slice` and shipped as picklable
-:class:`BudgetSpec` values (wall deadline as an absolute epoch
-instant), typed errors return as values, worker crashes degrade
-through the existing :class:`~repro.resilience.EngineFailure` path,
-and each worker's obs snapshot folds into the parent registry under a
-``parallel/`` prefix.
-
-Two engines share that contract.  The original pool ships one future
-and one pre-split budget slice per task; the work-stealing engine
-(:mod:`repro.parallel.stealing`, ``stealing=True``) has workers steal
-task indices from a shared deque under one shared cross-process budget
-pool, and supports first-win cancellation races — used by the
-experiment grid and by :mod:`repro.sat.cube`'s cube-and-conquer solve
-path.
+strategies, per-design experiment rows, ``prove()``'s independent
+engine probes and :mod:`repro.sat.cube`'s cube races — across worker
+processes while keeping every output **byte-identical** to the
+sequential run.  There is one engine: :class:`ParallelExecutor`
+enqueues the tasks on the work-stealing queue of
+:mod:`repro.parallel.stealing`, which it drains in-process at
+``jobs=1`` and across ``jobs`` processes otherwise.  Outcomes merge
+in input order; every task draws on one shared pool of the caller's
+budget under one absolute deadline (shipped as a picklable
+:class:`BudgetSpec`); typed errors return as values; worker crashes
+degrade through the existing :class:`~repro.resilience.EngineFailure`
+path; a ``first_win`` predicate turns a fan-out into a race whose
+winner cancels the rest; and each task's obs snapshot folds into the
+parent registry under a ``parallel/`` prefix.
 
 Entry points: ``--jobs N`` on the ``table1`` / ``table2`` / ``report``
 / ``bound`` / ``bench`` CLIs, or the ``jobs=`` keyword on

@@ -1,95 +1,80 @@
-"""The process-pool fan-out engine (Layer 0.7).
+"""The fan-out front end (Layer 0.7): :class:`ParallelExecutor`.
 
 Motivation 2 of Section 1 frames the transformation strategies as a
 *portfolio* of independently-sound attempts whose minimum bound wins —
 an embarrassingly parallel workload, as are the per-design rows of the
-Table 1/2 sweeps.  This module provides the one fan-out mechanism all
-of those share: a :class:`ParallelExecutor` that ships
-``(worker function, payload, budget spec, fault schedule)`` tuples to
-a ``concurrent.futures.ProcessPoolExecutor``, collects
-``(result-or-typed-error, obs snapshot)`` tuples back, and merges them
-**deterministically** — outcomes are returned in input order, never
-completion order, so tables and bench artifacts are byte-identical at
-any ``--jobs`` value.
+Table 1/2 sweeps, ``prove()``'s probe race and the cube races.  They
+all share this one fan-out mechanism, and it has one engine: the
+work-stealing queue of :mod:`repro.parallel.stealing`.  With ``jobs``
+(or the task count) at 1 the executor drains the queue in-process;
+otherwise ``jobs`` worker processes steal task indices from it.  Either
+way outcomes come back in **submission order**, never completion
+order, so tables and bench artifacts are byte-identical at any
+``--jobs`` value.
 
 Protocol invariants (see ``docs/architecture.md``, Layer 0.7):
 
-* **Budgets pre-split.**  A worker cannot charge its parent's pools
-  across a process boundary, so the parent carves one
-  :meth:`~repro.resilience.Budget.slice` per task *before* submission
-  and ships it as a :class:`BudgetSpec` — the wall deadline travels as
-  an absolute ``time.time()`` epoch (``time.perf_counter`` values are
-  meaningless in another process), the conflict/query pools as plain
-  integers.  After the join, the parent charges itself with each
-  worker's reported solver effort so hierarchical accounting stays
-  truthful.
-* **Typed errors are values.**  Workers catch the
+* **One budget pool, one deadline.**  The caller's budget remains are
+  captured once as a :class:`BudgetSpec` — the wall deadline as an
+  absolute ``time.time()`` epoch (``time.perf_counter`` values are
+  meaningless in another process), the conflict/query pools as
+  integers.  Every task draws from that one pool: in-process through
+  subbudget views of one detached :meth:`BudgetSpec.restore` budget,
+  across processes through shared counters.  A queued task gets
+  whatever is left when it starts, not a slice fixed at submission.
+  After the join the parent charges itself with each task's reported
+  solver effort — the single charging path, which is why in-process
+  tasks never draw on the caller's budget directly (that would count
+  every conflict twice).
+* **Typed errors are values.**  Tasks catch the
   :mod:`repro.resilience` taxonomy (plus the engine-level
   ``NetlistError``/``ValueError``) and return the exception object —
   all of them pickle with structured fields intact — so the parent
   replays exactly the error handling the sequential code path has.  A
-  worker *crash* (the process dying, an unpicklable result, an
-  unexpected exception) maps to :class:`EngineFailure`, the existing
-  degradation path, so PR 2's guarantees (tables always complete,
-  sound structural fallback) hold unchanged.  :class:`Cancelled` is
-  re-raised at the join, as everywhere else.
-* **Observability survives.**  Each worker runs under a scoped
+  worker crash (an untyped exception, the process dying, an
+  unpicklable result) maps to :class:`EngineFailure`, the existing
+  degradation path, so tables always complete and the structural
+  fallback stays sound.  In-process, an untyped exception propagates
+  as it would from the sequential loops.  :class:`Cancelled` is
+  re-raised at the join, as everywhere else — except under a
+  ``first_win`` race, where the first ok outcome satisfying the
+  predicate cancels the rest and the caller's join rule (e.g.
+  :func:`repro.sat.cube.join_cubes`) owns error precedence.
+* **Observability survives.**  Each task runs under a scoped
   :class:`repro.obs.Registry`; the parent folds every snapshot into
   the active registry under ``parallel/<name>/<label>`` and counts
   ``parallel.tasks`` / ``parallel.worker_crashes``.
 * **Fault plans re-script per task.**  An active
-  :class:`~repro.resilience.FaultPlan` is shipped as its schedule and
-  re-armed from call index 0 in every worker — the only deterministic
-  reading of call indices once work is distributed.
+  :class:`~repro.resilience.FaultPlan` is shipped to worker processes
+  as its schedule and re-armed from call index 0 for every task — the
+  only deterministic reading of call indices once work is distributed.
 
-``jobs=1`` never touches the pool: call sites keep their existing
-sequential loops, and :meth:`ParallelExecutor.map` itself degrades to
-an in-process loop (used by tests and by call sites that want one
-code path).
-
-Since PR 9 the executor has a second engine, selected per instance
-with ``stealing=True`` (or implied by a ``first_win`` predicate): the
-work-stealing queue of :mod:`repro.parallel.stealing`.  Instead of one
-future and one pre-split budget slice per task, workers steal task
-indices from a shared deque and charge one *shared* cross-process
-conflict/query pool under the common wall deadline — so budget flows
-to the tasks that need it and no worker idles behind a static split.
-The join is unchanged: outcomes come back in submission order, so the
-determinism contract (byte-identical tables at any ``--jobs``) holds
-in both engines.  ``first_win`` adds first-win cancellation on top:
-the first ok outcome satisfying the predicate sets the pool-wide
-cancel event, which reaches losers through their budgets' per-conflict
-cancellation checks; their :class:`Cancelled` / exhausted outcomes are
-then *not* re-raised at the join (the caller's join rule — e.g.
-:func:`repro.sat.cube.join_cubes` — owns error precedence).
+Most call sites keep their sequential loops at ``jobs=1``; the
+in-process drain serves single-task fan-outs, cube races inside a
+worker process (never nested pools) and tests.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor, \
-    TimeoutError as _FuturesTimeout
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence
 
 from .. import obs
-from ..netlist import NetlistError
 from ..resilience import Budget, Cancelled, EngineFailure, \
     ResourceExhausted
 from ..resilience import faults as _faults
+from . import stealing as _stealing
 
 __all__ = ["BudgetSpec", "ParallelExecutor", "WorkerOutcome"]
 
-#: Error types workers return as values (everything else is a crash).
-_TYPED_ERRORS = (ResourceExhausted, EngineFailure, Cancelled,
-                 NetlistError, ValueError)
-
-#: Watchdog tuning.  A worker is expected to stop *itself* at its
-#: budget deadline (cooperative checks inside every solve); the parent
-#: only declares it stalled once it has overrun the deadline by
-#: ``(grace - 1) x`` its original wall allowance, plus a small floor
-#: absorbing pool scheduling jitter on tiny budgets.  Tasks with no
-#: wall deadline are never watched — there is no bound to enforce.
+#: Watchdog tuning.  Tasks are expected to stop *themselves* at the
+#: pool's wall deadline (cooperative checks inside every solve); the
+#: parent only declares the pool stalled once it has overrun the
+#: deadline by ``(grace - 1) x`` its original wall allowance, plus a
+#: small floor absorbing process start-up jitter on tiny budgets.
+#: Pools with no wall deadline are never watched — there is no bound
+#: to enforce.
 _WATCHDOG_GRACE = 2.0
 _WATCHDOG_FLOOR = 0.5
 
@@ -102,8 +87,9 @@ class BudgetSpec:
     unlimited): monotonic ``perf_counter`` readings cannot cross a
     process boundary, so the deadline travels as wall-clock epoch and
     is re-anchored to the worker's own monotonic clock by
-    :meth:`restore`.  The conflict/query pools are pre-split integers
-    — the worker gets a private cap, not a shared pool.
+    :meth:`restore`.  The conflict/query pools are the remains every
+    task of one run shares: the starting values of the cross-process
+    counters, or of the one in-process budget the queue drains.
     """
 
     deadline_epoch: Optional[float] = None
@@ -113,7 +99,7 @@ class BudgetSpec:
     #: ``time.time()`` at capture; with ``deadline_epoch`` this
     #: preserves the original wall allowance, which the parent-side
     #: watchdog scales by :data:`_WATCHDOG_GRACE` to decide when an
-    #: unresponsive worker counts as stalled.
+    #: unresponsive pool counts as stalled.
     captured_epoch: Optional[float] = None
 
     @classmethod
@@ -134,8 +120,8 @@ class BudgetSpec:
         )
 
     def watchdog_timeout(self) -> Optional[float]:
-        """Seconds from now until the parent should declare a worker
-        on this budget stalled (None = never — no wall deadline)."""
+        """Seconds from now until the parent should declare a pool on
+        this budget stalled (None = never — no wall deadline)."""
         if self.deadline_epoch is None:
             return None
         allowance = 0.0
@@ -177,70 +163,24 @@ class WorkerOutcome:
         return self.error is None
 
 
-def _run_task(fn: Callable[[Any, Optional[Budget]], Any],
-              payload: Any,
-              spec: Optional[BudgetSpec],
-              fault_config: Optional[dict],
-              budget: Optional[Budget] = None) -> tuple:
-    """The worker-side shim (module-level so the pool can pickle it).
-
-    Runs ``fn(payload, budget)`` under a fresh scoped registry and the
-    re-armed fault schedule, returning ``(kind, value, snapshot,
-    seconds)`` where ``kind`` is ``"ok"`` or ``"error"``.
-
-    When ``REPRO_TRACE`` is set (inherited from the parent CLI) the
-    shim opens a per-process sibling sink ``<path>.<pid>`` sharing the
-    parent's trace id, so the parent can stitch all worker files into
-    one wall-clock-aligned timeline; ``REPRO_PROGRESS`` likewise
-    re-installs the stderr reporter in the worker.  Both are no-ops
-    in-process (``jobs=1``): the parent's sink/reporter are already
-    live.
-    """
-    obs.trace.open_worker_sink()
-    obs.trace.progress_from_env()
-    watch = obs.stopwatch()
-    with obs.scoped(obs.Registry("worker")) as reg:
-        if budget is None:
-            budget = spec.restore() if spec is not None else None
-        plan = _faults.FaultPlan(**fault_config) \
-            if fault_config is not None else None
-        try:
-            if plan is not None:
-                with _faults.inject(plan):
-                    value = fn(payload, budget)
-            else:
-                value = fn(payload, budget)
-            return ("ok", value, reg.snapshot(), watch.elapsed)
-        except _TYPED_ERRORS as exc:
-            return ("error", exc, reg.snapshot(), watch.elapsed)
-        finally:
-            # Pool workers are reused and then killed without cleanup:
-            # push buffered trace records out after every task so the
-            # parent can stitch complete files at any point.
-            sink = obs.trace.active_sink()
-            if sink is not None:
-                sink.flush()
-
-
 class ParallelExecutor:
     """Deterministic fan-out of independent engine calls.
 
-    ``jobs`` caps the worker-process count; ``jobs <= 1`` runs every
-    task in-process (same shim, no pool, no pickling) so a single code
-    path serves both modes.  ``name`` prefixes the merged obs data:
-    worker telemetry lands under ``parallel/<name>/<label>``.
+    ``jobs`` caps the worker-process count; with ``jobs <= 1`` (or a
+    single task) the queue drains in-process — same shim, same shared
+    budget semantics, no processes, no pickling.  ``name`` prefixes
+    the merged obs data: task telemetry lands under
+    ``parallel/<name>/<label>``.
     """
 
-    def __init__(self, jobs: int = 1, name: str = "pool",
-                 stealing: bool = False) -> None:
+    def __init__(self, jobs: int = 1, name: str = "pool") -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
         self.name = name
-        self.stealing = stealing
-        #: Metadata of the last work-stealing run (first-win index,
-        #: cancel latency, watchdog/crash slots) — read by the cube
-        #: driver and the bench cancellation-latency probe.
+        #: Metadata of the last run (first-win index, cancel latency,
+        #: watchdog/crash slots) — read by the cube race and the
+        #: bench cancellation-latency probe.
         self.last_race: dict = {}
 
     # ------------------------------------------------------------------
@@ -251,16 +191,15 @@ class ParallelExecutor:
             labels: Optional[Sequence[str]] = None,
             first_win: Optional[Callable[[Any], bool]] = None
             ) -> List[WorkerOutcome]:
-        """Run ``fn(payload, budget-slice)`` for every payload.
+        """Run ``fn(payload, shared-budget-view)`` for every payload.
 
-        ``fn`` must be a module-level function (the pool pickles it by
-        reference).  In the default engine ``budget`` is pre-split
-        equally (each task gets a ``slice(1/n)`` of the remains at
-        submission time); in stealing mode the pool shares one budget
-        view instead.  The result list is ordered by input index
-        regardless of completion order; a cancelled budget raises
-        :class:`Cancelled` at the join, every other failure is an
-        outcome.  ``first_win`` implies stealing mode.
+        ``fn`` must be a module-level function (worker processes
+        unpickle it by reference).  All tasks share one pool of
+        ``budget``'s remains under its one deadline.  The result list
+        is ordered by input index regardless of completion order; a
+        cancelled budget raises :class:`Cancelled` at submission, a
+        task's :class:`Cancelled` at the join (unless ``first_win`` is
+        racing), and every other failure is an outcome.
         """
         return self.map_tasks([(fn, payload) for payload in payloads],
                               budget=budget, labels=labels,
@@ -282,126 +221,32 @@ class ParallelExecutor:
             else [str(i) for i in range(len(tasks))]
         if len(labels) != len(tasks):
             raise ValueError("labels/tasks length mismatch")
-        plan = _faults.active_plan()
-        fault_config = plan.config() if plan is not None else None
-        if self.stealing or first_win is not None:
-            outcomes = self._stolen(tasks, labels, budget,
-                                    fault_config, first_win)
-        elif self.jobs == 1 or len(tasks) == 1:
-            specs = self._specs(budget, labels, len(tasks))
-            raw = [_run_task(fn, payload, spec, None)
-                   for (fn, payload), spec in zip(tasks, specs)]
-            outcomes = [self._decode(i, labels[i], raw[i])
-                        for i in range(len(raw))]
+        if budget is not None and budget.cancelled:
+            raise Cancelled(budget_name=budget.name)
+        self.last_race = {}
+        spec = BudgetSpec.capture(budget, name=self.name)
+        if self.jobs == 1 or len(tasks) == 1:
+            outcomes = self._drain_in_process(tasks, labels, spec,
+                                              first_win)
         else:
-            specs = self._specs(budget, labels, len(tasks))
-            outcomes = self._pooled(tasks, specs, labels, fault_config)
+            outcomes = self._drain_pool(tasks, labels, spec, first_win)
         self._merge(outcomes, budget,
                     reraise_cancelled=first_win is None)
         return outcomes
 
     # ------------------------------------------------------------------
-    def _specs(self, budget: Optional[Budget], labels: Sequence[str],
-               n: int) -> List[Optional[BudgetSpec]]:
-        if budget is None:
-            return [None] * n
-        if budget.cancelled:
-            raise Cancelled(budget_name=budget.name)
-        specs: List[Optional[BudgetSpec]] = []
-        for label in labels:
-            child = budget.slice(1.0 / n,
-                                 name=f"{self.name}[{label}]")
-            specs.append(BudgetSpec.capture(child, name=child.name))
-        return specs
-
-    def _pooled(self, tasks, specs, labels,
-                fault_config) -> List[WorkerOutcome]:
-        workers = min(self.jobs, len(tasks))
-        outcomes: List[Optional[WorkerOutcome]] = [None] * len(tasks)
-        reg = obs.get_registry()
-        stalled = False
-        pool = ProcessPoolExecutor(max_workers=workers)
-        try:
-            futures = [
-                pool.submit(_run_task, fn, payload, spec, fault_config)
-                for (fn, payload), spec in zip(tasks, specs)
-            ]
-            # Joined in submission order: determinism over latency.
-            # Each join is bounded by the task's watchdog deadline —
-            # a worker that has blown past its wall budget by the
-            # grace factor is declared stalled and its slot filled
-            # with a typed exhaustion, exactly where its result
-            # would have gone, so outcome order never depends on
-            # which worker hung.
-            for i, future in enumerate(futures):
-                spec = specs[i]
-                timeout = None if spec is None \
-                    else spec.watchdog_timeout()
-                try:
-                    raw = future.result(timeout=timeout)
-                except _FuturesTimeout:
-                    stalled = True
-                    future.cancel()
-                    reg.counter("parallel.watchdog_kills")
-                    reg.event("parallel.watchdog", label=labels[i],
-                              budget=spec.name)
-                    outcomes[i] = WorkerOutcome(
-                        index=i, label=labels[i],
-                        error=ResourceExhausted(
-                            "parallel.watchdog",
-                            f"worker {labels[i]!r} overran its wall "
-                            "deadline past the watchdog grace; task "
-                            "cancelled",
-                            budget_name=spec.name))
-                    continue
-                except Exception as exc:
-                    # The process died or the round-trip broke: the
-                    # existing EngineFailure degradation path applies.
-                    outcomes[i] = WorkerOutcome(
-                        index=i, label=labels[i],
-                        error=EngineFailure(
-                            "parallel.worker",
-                            "worker crashed: "
-                            f"{str(exc) or type(exc).__name__}"))
-                    continue
-                outcomes[i] = self._decode(i, labels[i], raw)
-        finally:
-            if stalled:
-                # A stalled worker never returns; a clean
-                # shutdown(wait=True) would turn the watchdog into a
-                # deadlock.  Kill the worker processes outright and
-                # reap the pool without waiting.
-                processes = getattr(pool, "_processes", None) or {}
-                for proc in list(processes.values()):
-                    proc.terminate()
-                pool.shutdown(wait=False, cancel_futures=True)
-            else:
-                pool.shutdown(wait=True)
-        return [outcome for outcome in outcomes if outcome is not None]
-
-    # ------------------------------------------------------------------
-    # Work-stealing engine
-    # ------------------------------------------------------------------
-    def _stolen(self, tasks, labels, budget, fault_config,
-                first_win) -> List[WorkerOutcome]:
-        """Run tasks through the shared-deque engine (see
-        :mod:`repro.parallel.stealing`); in-process when ``jobs`` (or
-        the task count) is 1 — sequential draining of the same queue
-        semantics, with first-win early exit."""
-        from . import stealing as _stealing
-
-        if budget is not None and budget.cancelled:
-            raise Cancelled(budget_name=budget.name)
-        reg = obs.get_registry()
-        self.last_race = {}
-        if self.jobs == 1 or len(tasks) == 1:
-            return self._stolen_in_process(tasks, labels, budget,
-                                           first_win)
-        spec = BudgetSpec.capture(budget, name=self.name)
+    def _drain_pool(self, tasks, labels, spec,
+                    first_win) -> List[WorkerOutcome]:
+        """Run tasks over ``jobs`` worker processes (see
+        :mod:`repro.parallel.stealing`) and turn the slots the watchdog
+        or a dead worker resolved into typed outcomes."""
+        plan = _faults.active_plan()
         raws, meta = _stealing.execute(
-            tasks, labels, spec, fault_config,
+            tasks, labels, spec,
+            plan.config() if plan is not None else None,
             min(self.jobs, len(tasks)), self.name, first_win)
         self.last_race = meta
+        reg = obs.get_registry()
         outcomes: List[WorkerOutcome] = []
         for i, raw in enumerate(raws):
             if raw is not None:
@@ -426,13 +271,13 @@ class ParallelExecutor:
                         f"worker running {labels[i]!r} crashed")))
         return outcomes
 
-    def _stolen_in_process(self, tasks, labels, budget,
-                           first_win) -> List[WorkerOutcome]:
-        """The ``jobs=1`` drain: same shared-budget semantics (tasks
-        drain one pool through subbudget views of a single restored
-        budget), same first-win early exit (later tasks short-circuit
-        to :class:`Cancelled`), no processes."""
-        spec = BudgetSpec.capture(budget, name=self.name)
+    def _drain_in_process(self, tasks, labels, spec,
+                          first_win) -> List[WorkerOutcome]:
+        """The in-process drain: tasks run in order through subbudget
+        views of one budget restored from ``spec`` (detached from the
+        caller's, which :meth:`_merge` charges after the join), and a
+        ``first_win`` hit short-circuits the rest to
+        :class:`Cancelled`."""
         shared = spec.restore() if spec is not None else None
         outcomes: List[WorkerOutcome] = []
         won = False
@@ -446,7 +291,7 @@ class ParallelExecutor:
                 continue
             child = shared.subbudget(name=name) \
                 if shared is not None else None
-            raw = _run_task(fn, payload, None, None, budget=child)
+            raw = _stealing.run_task(fn, payload, child, None)
             outcome = self._decode(i, labels[i], raw)
             outcomes.append(outcome)
             if first_win is not None and outcome.ok and \

@@ -1,16 +1,13 @@
-"""The work-stealing task queue behind ``ParallelExecutor``.
+"""The work-stealing engine behind every ``ParallelExecutor`` call.
 
-The PR 3 pool pre-split everything: each task got its own future and a
-private ``slice(1/n)`` of the budget, so an unlucky static split left
-workers idle behind one long task and starved hard tasks of budget
-their easy siblings never used.  This module replaces that with a
-shared deque: the parent enqueues task *indices*, every worker process
-runs a drain loop that steals the next index whenever it goes idle, and
-results are shipped back tagged by index so the parent still joins them
-in **submission order** — execution is dynamic, the join is not, and
+The parent enqueues task *indices* on a shared FIFO queue (one
+sentinel per worker after the real work); every worker process runs a
+drain loop that steals the next index whenever it goes idle, and
+results ship back tagged by index so the parent still joins them in
+**submission order** — execution is dynamic, the join is not, and
 tables stay byte-identical at any ``--jobs``.
 
-Three pieces of shared state ride along (plain ``multiprocessing``
+Two pieces of shared state ride along (plain ``multiprocessing``
 primitives, shipped at process-spawn time):
 
 * a **cancel event** — the first-win hook: when the parent sees a
@@ -20,26 +17,24 @@ primitives, shipped at process-spawn time):
   :class:`SharedBudget` and the solver checks ``budget.cancelled``
   once per conflict — first-win cancellation through the existing
   Budget cancellation path, no new mechanism;
-* a **shared conflict pool** and a **shared query pool** — the
-  work-stealing replacement for pre-split budget slices: one
-  cross-process counter that every worker charges, so budget flows to
-  whichever tasks actually need it (the wall deadline is naturally
-  shared already: it is one absolute epoch);
-* the **task queue** itself, FIFO with one sentinel per worker
-  enqueued after the real work.
+* a **shared conflict pool** and a **shared query pool** — one
+  cross-process counter each that every worker charges, so budget
+  flows to whichever tasks actually need it.  The wall deadline needs
+  no shared state: it is one absolute epoch for every worker.
 
-Per-task hygiene (the second satellite): every *stolen task* — not
-every worker process — re-arms the fault schedule from call index 0
-and opens a fresh scoped registry, so fault injection and the
+Per-task hygiene: every *stolen task* — not every worker process —
+re-arms the fault schedule from call index 0 and opens a fresh scoped
+registry (:func:`run_task`), so fault injection and the
 ``parallel/<pool>/<label>`` obs merge are functions of the task label
 alone, independent of which worker stole it.
 
-Crash containment: workers announce ``("start", index)`` before
-running a task, so when a worker process dies the parent knows exactly
-which index was in flight, fills that slot with the existing
-:class:`EngineFailure` crash outcome, and lets the surviving workers
-drain the rest.  A pool-wide wall-clock watchdog (same grace policy as
-the pre-split pool) terminates a stalled pool outright.
+Crash containment: an unexpected exception inside a task becomes that
+task's :class:`EngineFailure` outcome and the worker keeps draining.
+Workers also announce ``("start", index, pid)`` before running a task,
+so when a worker *process* dies the parent knows exactly which index
+was in flight, fills that slot with the same crash outcome, and lets
+the surviving workers drain the rest.  A pool-wide wall-clock watchdog
+terminates a stalled pool outright.
 """
 
 from __future__ import annotations
@@ -52,11 +47,16 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, \
     Tuple
 
 from .. import obs
+from ..netlist import NetlistError
 from ..resilience import Budget, Cancelled, EngineFailure, \
     ResourceExhausted
 from ..resilience import faults as _faults
 
-__all__ = ["SharedBudget", "execute"]
+__all__ = ["SharedBudget", "execute", "run_task"]
+
+#: Error types tasks return as values (everything else is a crash).
+_TYPED_ERRORS = (ResourceExhausted, EngineFailure, Cancelled,
+                 NetlistError, ValueError)
 
 #: Parent-side poll period while waiting on the result queue: short
 #: enough to notice dead workers and an expired watchdog promptly,
@@ -116,20 +116,28 @@ class SharedBudget(Budget):
                 self._shared_queries.value -= n
 
 
-def _run_stolen_task(fn: Callable[[Any, Optional[Budget]], Any],
-                     payload: Any,
-                     budget: Optional[Budget],
-                     fault_config: Optional[dict]) -> tuple:
-    """One stolen task under a fresh registry and re-armed faults.
+def run_task(fn: Callable[[Any, Optional[Budget]], Any],
+             payload: Any,
+             budget: Optional[Budget],
+             fault_config: Optional[dict]) -> tuple:
+    """Run one task under a fresh scoped registry and re-armed faults.
 
-    Mirrors the pre-split pool's ``_run_task`` contract — ``(kind,
-    value, snapshot, seconds)`` with the typed taxonomy as values —
-    but takes a live (shared-view) budget instead of a spec.  The
-    fault schedule restarts at call index 0 *per task*, so injection
-    points are deterministic under stealing.
+    Returns ``(kind, value, snapshot, seconds)`` where ``kind`` is
+    ``"ok"`` or ``"error"`` (the typed taxonomy comes back as a value;
+    anything else propagates).  ``fault_config`` re-arms the schedule
+    from call index 0 *per task*, so injection points are deterministic
+    under stealing; None leaves the active plan alone (the in-process
+    drain, where the caller's plan is already live).
+
+    When ``REPRO_TRACE`` is set (inherited from the parent CLI) a
+    worker process opens a per-process sibling sink ``<path>.<pid>``
+    sharing the parent's trace id, so the parent can stitch all worker
+    files into one wall-clock-aligned timeline; ``REPRO_PROGRESS``
+    likewise re-installs the stderr reporter.  Both are no-ops when the
+    parent's sink/reporter are already live in this process.
     """
-    from .executor import _TYPED_ERRORS
-
+    obs.trace.open_worker_sink()
+    obs.trace.progress_from_env()
     watch = obs.stopwatch()
     with obs.scoped(obs.Registry("worker")) as reg:
         plan = _faults.FaultPlan(**fault_config) \
@@ -144,9 +152,20 @@ def _run_stolen_task(fn: Callable[[Any, Optional[Budget]], Any],
         except _TYPED_ERRORS as exc:
             return ("error", exc, reg.snapshot(), watch.elapsed)
         finally:
+            # Worker processes are killed without cleanup: push
+            # buffered trace records out after every task so the
+            # parent can stitch complete files at any point.
             sink = obs.trace.active_sink()
             if sink is not None:
                 sink.flush()
+
+
+def _crashed(what: str, exc: BaseException) -> tuple:
+    """The raw outcome of a task that died with an untyped error."""
+    return ("error",
+            EngineFailure("parallel.worker",
+                          f"{what}: {str(exc) or type(exc).__name__}"),
+            None, 0.0)
 
 
 def _drain_worker(tasks: Sequence[tuple],
@@ -160,8 +179,6 @@ def _drain_worker(tasks: Sequence[tuple],
                   conflicts: Optional[Any],
                   queries: Optional[Any]) -> None:
     """Worker-process drain loop: steal, run, report, repeat."""
-    obs.trace.open_worker_sink()
-    obs.trace.progress_from_env()
     while True:
         index = task_q.get()
         if index is None:
@@ -175,22 +192,24 @@ def _drain_worker(tasks: Sequence[tuple],
             budget = SharedBudget(deadline_epoch, cancel_event,
                                   conflicts, queries, name=name)
             fn, payload = tasks[index]
-            raw = _run_stolen_task(fn, payload, budget, fault_config)
+            try:
+                raw = run_task(fn, payload, budget, fault_config)
+            except Exception as exc:
+                # The task crashed, not the worker: fill its slot and
+                # keep draining, so healthy queued tasks still run.
+                raw = _crashed("worker crashed", exc)
         try:
             blob = pickle.dumps(("done", index, raw))
         except Exception as exc:  # unpicklable result = a crash
-            blob = pickle.dumps(("done", index, (
-                "error",
-                EngineFailure("parallel.worker",
-                              "unpicklable worker result: "
-                              f"{str(exc) or type(exc).__name__}"),
-                None, 0.0)))
+            blob = pickle.dumps(
+                ("done", index, _crashed("unpicklable worker result",
+                                         exc)))
         result_q.put(blob)
 
 
 def execute(tasks: Sequence[tuple],
             labels: Sequence[str],
-            spec: Optional[Any],  # BudgetSpec (shared, unsliced)
+            spec: Optional[Any],  # BudgetSpec (the shared pool)
             fault_config: Optional[dict],
             jobs: int,
             pool_name: str,

@@ -15,8 +15,8 @@ so
 * the original query is UNSAT iff  **every** cube is UNSAT,
 
 which is exactly the join rule :func:`join_cubes` implements.  Cubes
-are fanned across :class:`~repro.parallel.ParallelExecutor` workers in
-work-stealing mode with first-win cancellation: a SAT cube sets the
+are fanned across :class:`~repro.parallel.ParallelExecutor` workers
+with first-win cancellation: a SAT cube sets the
 pool-wide cancel event (threaded through the worker budgets, so losers
 abort at their next per-conflict budget check), while UNSAT requires
 every cube to complete.
@@ -457,7 +457,7 @@ def solve_cubes(payload: Dict[str, Any],
     reg.counter("cube.splits")
     reg.counter("cube.cubes", len(cubes))
     executor = ParallelExecutor(jobs=max(1, min(jobs, len(cubes))),
-                                name=name, stealing=True)
+                                name=name)
     with reg.span("cube.race"):
         outcomes = executor.map(workers.run_cube, payloads,
                                 budget=budget, labels=labels,

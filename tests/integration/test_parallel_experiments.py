@@ -15,7 +15,7 @@ from repro.experiments.runner import format_table, run_table
 from repro.experiments.table1 import run as run_table1
 from repro.gen import iscas89
 from repro.netlist import s27
-from repro.resilience import FAULT_CRASH, FaultPlan, inject
+from repro.resilience import FAULT_CRASH, Budget, FaultPlan, inject
 
 DESIGNS = ["S27", "S298"]
 
@@ -80,6 +80,23 @@ class TestPortfolioAndProve:
         assert par.best(target) == seq.best(target)
         assert [o.strategy for o in par.outcomes] == \
             [o.strategy for o in seq.outcomes]
+
+    def test_budgeted_portfolio_same_or_better_than_sequential(self):
+        # The strategies share one conflict pool instead of equal
+        # slices of it: COM,RET,COM needs more than a fifth of this
+        # budget, which a slice would deny it, while the portfolio's
+        # total demand fits the pool — so the fan-out reaches the
+        # unbudgeted bounds.
+        net = iscas89.generate("S298", scale=0.1)
+        free = compare_strategies(net)
+        seq = compare_strategies(net, budget=Budget(conflicts=40),
+                                 jobs=1)
+        par = compare_strategies(net, budget=Budget(conflicts=40),
+                                 jobs=2)
+        for target in net.targets:
+            bound = par.best(target)[0]
+            assert bound == free.best(target)[0]
+            assert bound <= seq.best(target)[0]
 
     def test_portfolio_telemetry_lands_under_parallel_prefix(self):
         with obs.scoped(obs.Registry("t")) as reg:

@@ -1,5 +1,7 @@
 """Unit tests for AIGER I/O (ASCII ``aag`` and binary ``aig``)."""
 
+import tracemalloc
+
 import pytest
 
 from repro.netlist import (
@@ -13,6 +15,7 @@ from repro.netlist import (
     s27,
     write_aiger,
 )
+from repro.netlist.aiger import MAX_BINARY_INPUTS
 
 #: The canonical AIGER toggle example (latch toggling every cycle).
 TOGGLE = """\
@@ -210,6 +213,21 @@ class TestParseBinary:
     def test_binary_symbol_line_without_kind_raises_netlist_error(self):
         with pytest.raises(NetlistError, match="symbol line"):
             parse_aiger(AND2_BIN + b" a\n")
+
+    def test_rejects_implicit_inputs_above_cap_before_allocating(self):
+        # Binary inputs take no bytes, so only the header bounds them:
+        # a 10^11-input header must fail on the count, with nothing
+        # allocated for the inputs it declares.
+        count = 1000 * MAX_BINARY_INPUTS
+        header = f"aig {count} {count} 0 0 0\n".encode()
+        tracemalloc.start()
+        try:
+            with pytest.raises(NetlistError, match="inputs"):
+                parse_aiger(header)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_rejects_bad_state_literal_out_of_range(self):
         # A B (bad-state) line referencing a variable beyond M must
