@@ -6,8 +6,8 @@ than the solver that produced it (the trace-automata BMC-certification
 shape):
 
 * **UNSAT** — the solver's DRAT-style proof log
-  (:mod:`repro.cert.proof`, emitted by both CDCL cores under the
-  ``REPRO_SAT_PROOF`` / :func:`repro.sat.use_proofs` toggle) is
+  (:mod:`repro.cert.proof`, emitted by the CDCL solver under the
+  ``sat_proof`` option of :mod:`repro.options`) is
   replayed by the stdlib RUP checker of :mod:`repro.cert.drat`
   (backward checking, core trimming) — unit propagation is the only
   trusted inference.
@@ -18,10 +18,9 @@ shape):
 A failed check raises :class:`~repro.resilience.CertificationFailure`
 (an :class:`~repro.resilience.EngineFailure` subtype, so every
 existing degradation path already handles it); ``prove()`` reacts by
-retrying once on the *other* solver core and, on persistent
-disagreement, degrading to the sound structural bound.  Certification
-is scoped by the ``REPRO_CERT`` env toggle / :func:`use_certification`
-(engines also accept an explicit ``certify=`` override) and publishes
+degrading to the sound structural bound.  Certification is scoped by
+the ``certification`` option (:mod:`repro.options`,
+:func:`use_certification`) and publishes
 ``cert.checked`` / ``cert.failed`` counters plus ``cert.*`` trace
 instants through :mod:`repro.obs`.
 
@@ -34,11 +33,10 @@ inside :func:`certify_witness`.
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Iterator, List, Optional
+from typing import ContextManager, Optional
 
 from .. import obs
+from ..options import Options, current, use_options
 from ..resilience.errors import CertificationFailure
 from . import drat
 from .drat import CheckResult, check_events
@@ -52,39 +50,18 @@ __all__ = [
     "certify_unsat",
     "certify_witness",
     "check_events",
-    "set_certification_enabled",
     "use_certification",
 ]
 
-# ----------------------------------------------------------------------
-# Certification toggle (mirrors the solver-core and template toggles)
-# ----------------------------------------------------------------------
-_CERT_ENV = "REPRO_CERT"
-_cert_enabled = os.environ.get(_CERT_ENV, "0").strip().lower() \
-    not in ("0", "false", "off", "no", "")
-
 
 def certification_enabled() -> bool:
-    """Whether verdict-emitting engines certify by default."""
-    return _cert_enabled
+    """Whether verdict-emitting engines certify (the option)."""
+    return current().certification
 
 
-def set_certification_enabled(enabled: bool) -> bool:
-    """Set the global certification toggle; returns the previous value."""
-    global _cert_enabled
-    previous = _cert_enabled
-    _cert_enabled = bool(enabled)
-    return previous
-
-
-@contextmanager
-def use_certification(enabled: bool) -> Iterator[None]:
-    """Scoped override of the certification toggle (``--certify``)."""
-    previous = set_certification_enabled(enabled)
-    try:
-        yield
-    finally:
-        set_certification_enabled(previous)
+def use_certification(enabled: bool) -> ContextManager[Options]:
+    """Scoped override of the certification option (``--certify``)."""
+    return use_options(certification=bool(enabled))
 
 
 # ----------------------------------------------------------------------

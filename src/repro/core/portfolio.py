@@ -15,13 +15,15 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
-from ..netlist import Netlist, NetlistError
-from ..resilience import Budget, Cancelled, EngineFailure, \
-    ResourceExhausted
-from .engine import EngineResult, PROVEN, TBVEngine
+from ..netlist import Netlist
+from ..resilience import Budget
+from .engine import EngineResult, PROVEN
 
 #: A sensible default portfolio (cheap to expensive).
 DEFAULT_STRATEGIES = ("", "STRASH", "COM", "RET", "COM,RET,COM")
+
+#: Error prefix of a strategy that started on an exhausted budget.
+SKIPPED = "skipped: budget exhausted"
 
 
 @dataclass
@@ -109,81 +111,25 @@ def compare_strategies(
     jobs: int = 1,
 ) -> PortfolioResult:
     """Run every strategy; failures (e.g. CSLOW on a non-c-slow
-    netlist, an engine crash, an exhausted per-strategy budget) are
-    recorded, not raised — each strategy's bound is independently
-    sound, so the portfolio survives any subset of them.
+    netlist, an engine crash, an exhausted budget) are recorded, not
+    raised — each strategy's bound is independently sound, so the
+    portfolio survives any subset of them.
 
-    Each strategy runs under the obs span ``portfolio/<strategy>``, so
-    per-strategy wall-time and the solver effort spent inside it land
-    in the active registry; ``StrategyOutcome.seconds`` is the span's
-    own duration (monotonic).
-
-    ``budget`` governs the whole portfolio: each strategy runs on an
-    equal :meth:`~repro.resilience.Budget.slice` of whatever remains,
-    strategies are skipped outright (with a recorded outcome and a
-    ``portfolio.budget_skips`` counter) once the shared pool is dry,
-    and cancellation raises :class:`Cancelled` immediately.
-
-    ``jobs > 1`` fans the strategies across a process pool
-    (:mod:`repro.parallel`): outcomes come back in strategy order —
-    the per-target minima, and therefore every table derived from
-    them, are identical at any ``jobs`` value — the workers draw on
-    a shared pool of ``budget`` under one deadline, a crashed worker
-    becomes a failed outcome (never an aborted portfolio), and worker
-    telemetry lands under ``parallel/portfolio/<strategy>``.
+    The strategies fan out through :class:`repro.parallel.ParallelExecutor`
+    at every ``jobs`` value (``jobs=1`` drains its queue in-process):
+    outcomes come back in strategy order, so the per-target minima,
+    and therefore every table derived from them, are identical at any
+    ``jobs``.  ``budget`` governs the whole portfolio as one shared
+    pool under one deadline — each strategy draws on whatever is left
+    when it starts; a strategy that starts on a dry pool is skipped
+    (a recorded outcome and a ``portfolio.budget_skips`` count), and
+    cancellation raises :class:`~repro.resilience.Cancelled`.  A
+    crashed worker becomes a failed outcome (never an aborted
+    portfolio), counted in ``portfolio.failures``.  Each strategy's
+    telemetry, including its ``<strategy>`` span, lands under
+    ``parallel/portfolio/<strategy>``; ``StrategyOutcome.seconds`` is
+    that span's duration.
     """
-    if jobs > 1:
-        return _compare_strategies_parallel(
-            net, strategies, sweep_config, refine_gc_limit, budget,
-            jobs)
-    portfolio = PortfolioResult(net=net)
-    reg = obs.get_registry()
-    with reg.span("portfolio"):
-        for i, strategy in enumerate(strategies):
-            label = strategy or "(none)"
-            sub: Optional[Budget] = None
-            if budget is not None:
-                if budget.cancelled:
-                    raise Cancelled(budget_name=budget.name)
-                reason = budget.exhausted()
-                if reason is not None:
-                    reg.counter("portfolio.budget_skips")
-                    portfolio.outcomes.append(StrategyOutcome(
-                        strategy=strategy,
-                        error=f"skipped: budget exhausted ({reason})"))
-                    continue
-                # Equal share of the remaining pool per pending
-                # strategy, so an expensive early pipeline cannot
-                # starve the rest of the portfolio.
-                sub = budget.slice(1.0 / (len(strategies) - i),
-                                   name=f"portfolio[{label}]")
-            try:
-                with reg.span(label) as strategy_span:
-                    result = TBVEngine(
-                        strategy, sweep_config=sweep_config,
-                        refine_gc_limit=refine_gc_limit).run(
-                            net, budget=sub)
-                portfolio.outcomes.append(StrategyOutcome(
-                    strategy=strategy, result=result,
-                    seconds=strategy_span.seconds))
-            except (NetlistError, ValueError, EngineFailure,
-                    ResourceExhausted) as exc:
-                reg.counter("portfolio.failures")
-                portfolio.outcomes.append(StrategyOutcome(
-                    strategy=strategy, error=str(exc),
-                    seconds=strategy_span.seconds))
-    return portfolio
-
-
-def _compare_strategies_parallel(
-    net: Netlist,
-    strategies: Sequence[str],
-    sweep_config,
-    refine_gc_limit: int,
-    budget: Optional[Budget],
-    jobs: int,
-) -> PortfolioResult:
-    """The ``jobs > 1`` fan-out of :func:`compare_strategies`."""
     from ..parallel import ParallelExecutor
     from ..parallel.workers import run_strategy
 
@@ -199,13 +145,13 @@ def _compare_strategies_parallel(
         outcomes = executor.map(run_strategy, payloads, budget=budget,
                                 labels=labels)
         for strategy, outcome in zip(strategies, outcomes):
-            if outcome.ok:
-                portfolio.outcomes.append(outcome.value)
-            else:
-                # Worker crash or typed error: the same failed-outcome
-                # shape the sequential loop records.
-                reg.counter("portfolio.failures")
-                portfolio.outcomes.append(StrategyOutcome(
-                    strategy=strategy, error=str(outcome.error),
-                    seconds=outcome.seconds))
+            # Worker crash or typed error: a failed outcome.
+            result = outcome.value if outcome.ok else StrategyOutcome(
+                strategy=strategy, error=str(outcome.error),
+                seconds=outcome.seconds)
+            if result.error is not None:
+                reg.counter("portfolio.budget_skips"
+                            if result.error.startswith(SKIPPED)
+                            else "portfolio.failures")
+            portfolio.outcomes.append(result)
     return portfolio

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from .. import obs
-from ..cert import certification_enabled
 from ..netlist import Netlist
 from ..resilience import Budget, Cancelled, CertificationFailure, \
     EngineFailure
@@ -88,7 +87,7 @@ def _structural_fallback(net: Netlist, target: int,
 
 def _race_probes(net: Netlist, target: int, quick_bmc_depth: int,
                  induction_k: int, budget: Optional[Budget],
-                 jobs: int, cubes: bool):
+                 jobs: int):
     """Run the quick-BMC and k-induction probes as concurrent workers.
 
     Returns their :class:`repro.parallel.WorkerOutcome` pair in fixed
@@ -101,18 +100,13 @@ def _race_probes(net: Netlist, target: int, quick_bmc_depth: int,
     from ..parallel import ParallelExecutor
     from ..parallel.workers import run_bmc_probe, run_induction_probe
 
-    # The certification and cube toggles are captured in the parent
-    # and shipped in the payload: workers must not depend on
-    # inheriting process globals across the spawn/fork boundary.
-    certify = certification_enabled()
+    # The certification and cube options travel with the tasks.
     executor = ParallelExecutor(jobs=min(jobs, 2), name="prove")
     tasks = [
         (run_bmc_probe,
-         {"net": net, "target": target, "max_depth": quick_bmc_depth,
-          "certify": certify, "use_cubes": cubes}),
+         {"net": net, "target": target, "max_depth": quick_bmc_depth}),
         (run_induction_probe,
-         {"net": net, "target": target, "max_k": induction_k,
-          "certify": certify, "use_cubes": cubes}),
+         {"net": net, "target": target, "max_k": induction_k}),
     ]
     outcomes = executor.map_tasks(tasks, budget=budget,
                                   labels=["quick-bmc", "k-induction"])
@@ -130,7 +124,6 @@ def prove(
     refine_gc_limit: int = 6,
     budget: Optional[Budget] = None,
     jobs: int = 1,
-    use_cubes: Optional[bool] = None,
 ) -> ProofResult:
     """Decide ``AG(!target)`` with the full engine stack.
 
@@ -148,8 +141,8 @@ def prove(
     bound (see the module docstring) instead of raising.  Only
     :class:`Cancelled` propagates.
 
-    Certification: when verdict certification is armed
-    (:func:`repro.cert.use_certification` or ``REPRO_CERT``), a
+    Certification: when verdict certification is armed (the
+    ``certification`` option of :mod:`repro.options`), a
     :class:`repro.resilience.CertificationFailure` from any engine
     call degrades to the structural bound with
     ``exhaustion_reason="certification"`` — the same never-lie posture
@@ -164,19 +157,16 @@ def prove(
     though not the wall-clock — is the sequential one.  Each fan-out
     draws on a shared pool of its phase budget under one deadline.
 
-    ``use_cubes`` (None = the global :func:`repro.sat.use_cubes`
-    toggle) arms cube-and-conquer inside every BMC / k-induction call
-    this manager issues, including the racing probes — hard frame
-    queries split into cube sets raced with first-win cancellation
-    (:mod:`repro.sat.cube`).  Verdicts and bounds are unchanged.
+    The ``cubes`` option arms cube-and-conquer inside every BMC /
+    k-induction call this manager issues, including the racing probes
+    — hard frame queries split into cube sets raced with first-win
+    cancellation (:mod:`repro.sat.cube`).  Verdicts and bounds are
+    unchanged.
     """
-    from ..sat import cube as _cube
-
     if target is None:
         if not net.targets:
             raise ValueError("netlist has no targets")
         target = net.targets[0]
-    cubes = _cube.cubes_enabled() if use_cubes is None else use_cubes
     watch = obs.stopwatch()
     reg = obs.get_registry()
     log: List[str] = []
@@ -243,8 +233,7 @@ def prove(
             try:
                 with reg.span("complete-bmc"):
                     check = bmc(net, target, max_depth=bound,
-                                complete_bound=bound, budget=budget,
-                                use_cubes=cubes)
+                                complete_bound=bound, budget=budget)
             except EngineFailure as exc:
                 return failed(bound, strategy, exc)
             log.append(f"complete BMC to {bound}: {check.status}")
@@ -270,7 +259,7 @@ def prove(
             # the verdict is deterministic at any jobs value.
             quick_out, induct_out = _race_probes(
                 net, target, quick_bmc_depth, induction_k, budget,
-                jobs, cubes)
+                jobs)
             if quick_out.error is not None:
                 return failed(bound, strategy, quick_out.error)
             quick = quick_out.value
@@ -278,7 +267,7 @@ def prove(
             try:
                 with reg.span("quick-bmc"):
                     quick = bmc(net, target, max_depth=quick_bmc_depth,
-                                budget=budget, use_cubes=cubes)
+                                budget=budget)
             except EngineFailure as exc:
                 return failed(bound, strategy, exc)
         log.append(f"quick BMC to {quick_bmc_depth}: {quick.status}")
@@ -299,7 +288,7 @@ def prove(
             try:
                 with reg.span("k-induction"):
                     induct = k_induction(net, target, max_k=induction_k,
-                                         budget=budget, use_cubes=cubes)
+                                         budget=budget)
             except EngineFailure as exc:
                 return failed(bound, strategy, exc)
         log.append(f"k-induction to k={induction_k}: {induct.status}")

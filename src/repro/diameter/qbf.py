@@ -25,11 +25,12 @@ from typing import Dict, List, Optional
 from .. import obs
 from ..obs import metrics as _metrics
 from ..netlist import GateType, Netlist
+from ..options import current
 from ..resilience import Budget, Cancelled
 from ..sat import CnfSink, encode_frame, encode_mux, encode_xor2, \
     lit_not, pos
 from ..sat.qbf import QBFResult, solve_forall_exists
-from ..sat.template import get_template, templates_enabled
+from ..sat.template import get_template
 
 
 def _unroll_over_lits(net: Netlist, sink: CnfSink,
@@ -51,7 +52,7 @@ def _unroll_over_lits(net: Netlist, sink: CnfSink,
     width = len(inputs)
     init_lits = dict(zip(inputs, block[:width]))
     reg = obs.get_registry()
-    use_tmpl = templates_enabled()
+    use_tmpl = current().templates
     # Initial state from the init cones over the init-input literals.
     # (Templates are fetched outside the ``encode`` spans so the
     # one-off ``encode.compile`` time is not counted twice in the

@@ -16,7 +16,7 @@ import argparse
 import platform
 from typing import List, Optional, Sequence
 
-from .. import obs
+from .. import cli, obs
 from ..gen import gp, iscas89
 from ..resilience import Budget
 from .compare import compare_useful_fractions, format_comparison
@@ -139,13 +139,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "and tables are unchanged)")
     parser.add_argument("--progress", action="store_true",
                         help="report live engine progress on stderr")
-    args = parser.parse_args(argv)
-    obs.trace.setup_cli(progress_flag=args.progress)
-    if args.cubes:
-        from ..sat import cube as _cube
+    return cli.run(_main, parser.parse_args(argv))
 
-        _cube.set_cubes_enabled(True)
-        _cube.set_cube_config(jobs=max(1, args.jobs))
+
+def _main(args: argparse.Namespace) -> int:
     report = generate_report(
         scale=args.scale,
         max_registers=args.max_registers or None,

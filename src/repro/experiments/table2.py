@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 from typing import List, Optional, Sequence
 
-from .. import obs
+from .. import cli
 from ..gen import gp
 from ..resilience import Budget
 from ..transform import SweepConfig
@@ -90,13 +90,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "and tables are unchanged)")
     parser.add_argument("--progress", action="store_true",
                         help="report live engine progress on stderr")
-    args = parser.parse_args(argv)
-    obs.trace.setup_cli(progress_flag=args.progress)
-    if args.cubes:
-        from ..sat import cube as _cube
+    return cli.run(_main, parser.parse_args(argv))
 
-        _cube.set_cubes_enabled(True)
-        _cube.set_cube_config(jobs=max(1, args.jobs))
+
+def _main(args: argparse.Namespace) -> int:
     designs = args.designs.split(",") if args.designs else None
     budget = Budget(wall_seconds=args.timeout, name="table2") \
         if args.timeout else None

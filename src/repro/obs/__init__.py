@@ -23,13 +23,13 @@ Tests and benchmarks isolate their measurements with ``obs.scoped()``::
         assert reg.counter_value("sat.conflicts") > 0
 
 Live visibility while a run executes comes from :mod:`repro.obs.trace`
-(streaming JSONL sinks via ``REPRO_TRACE``, cross-process timeline
+(streaming JSONL sinks via the ``trace`` option, cross-process timeline
 stitching, progress heartbeats)::
 
     obs.progress("bmc", frame=t, of=depth)   # no-op unless enabled
 
 Distribution metrics and per-query attribution come from
-:mod:`repro.obs.metrics` (``REPRO_METRICS``): log-bucket histograms
+:mod:`repro.obs.metrics` (the ``metrics`` option): log-bucket histograms
 with p50/p90/p99, gauges, rate meters and a bounded per-query ledger,
 all riding ``snapshot()``/``merge_snapshot()`` so worker shards fold
 in losslessly::

@@ -40,31 +40,32 @@ new plumbing**: histograms, gauges and meters merge *un-prefixed*
 (globally additive, like the ``cert.*`` counters), while ledger
 records gain a ``source`` tag naming the worker that produced them.
 
-Recording is gated by ``REPRO_METRICS`` / :func:`use_metrics` with
-the same one-global-load fast path as the trace sink: every helper
-begins ``if not _enabled: return``, and hot callers (``Solver.solve``)
-guard with a single module-attribute load.  When a streaming trace is
-active, ledger records additionally flow into the trace file as
-``"Q"`` records, giving the stitched timeline per-query attribution.
+Recording is gated by the ``metrics`` option (:mod:`repro.options`,
+:func:`use_metrics`) with a one-lookup fast path: every helper begins
+``if not _options._current.metrics: return``, and hot callers
+(``Solver.solve``) guard with the same single read.  When a streaming
+trace is active, ledger records additionally flow into the trace file
+as ``"Q"`` records, giving the stitched timeline per-query
+attribution.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import threading
 import time
 from collections import deque
 from contextlib import contextmanager
-from typing import Any, Deque, Dict, Iterator, List, Optional
+from typing import Any, ContextManager, Deque, Dict, Iterator, List, \
+    Optional
 
+from .. import options as _options
 from . import registry as _registry_mod
 from .registry import get_registry
 
 __all__ = [
     "BUCKETS_PER_DECADE",
     "DEFAULT_LEDGER_CAP",
-    "METRICS_ENV",
     "Gauge",
     "Histogram",
     "Ledger",
@@ -80,12 +81,8 @@ __all__ = [
     "observe",
     "query_context",
     "record_query",
-    "set_metrics_enabled",
     "use_metrics",
 ]
-
-#: Environment variable enabling metrics collection ("1"/"true"/...).
-METRICS_ENV = "REPRO_METRICS"
 
 #: Log-bucket resolution: 10 buckets per decade = bucket width ratio
 #: ``10**0.1`` ~ 1.259 (each bucket spans ~26% of its lower bound).
@@ -94,42 +91,14 @@ BUCKETS_PER_DECADE = 10
 #: Ring capacity of :class:`Ledger` (most recent records win).
 DEFAULT_LEDGER_CAP = 512
 
-_enabled = os.environ.get(METRICS_ENV, "").strip().lower() \
-    not in ("", "0", "false", "off", "no")
-
-
 def metrics_enabled() -> bool:
-    """Whether metric recording is currently on."""
-    return _enabled
+    """Whether metric recording is on (``Options.metrics``)."""
+    return _options._current.metrics
 
 
-def set_metrics_enabled(enabled: bool) -> bool:
-    """Set the global metrics toggle; returns the previous value.
-
-    Exports (or removes) ``REPRO_METRICS`` so that worker processes
-    spawned by :mod:`repro.parallel` *after* the toggle flips inherit
-    it and record their shard of the distribution — without this, a
-    jobs=4 run would merge empty worker histograms and under-count
-    every quantile relative to jobs=1.
-    """
-    global _enabled
-    previous = _enabled
-    _enabled = bool(enabled)
-    if _enabled:
-        os.environ[METRICS_ENV] = "1"
-    else:
-        os.environ.pop(METRICS_ENV, None)
-    return previous
-
-
-@contextmanager
-def use_metrics(enabled: bool) -> Iterator[None]:
-    """Scoped override of the metrics toggle (bench, tests)."""
-    previous = set_metrics_enabled(enabled)
-    try:
-        yield
-    finally:
-        set_metrics_enabled(previous)
+def use_metrics(enabled: bool) -> ContextManager[_options.Options]:
+    """Scoped override of the metrics option (bench, tests)."""
+    return _options.use_options(metrics=bool(enabled))
 
 
 # ----------------------------------------------------------------------
@@ -568,7 +537,7 @@ def query_context(engine: str, **fields: Any) -> Iterator[None]:
     When metrics are disabled this is a no-op (nothing reads the
     stack), but the push itself is cheap enough to run unguarded.
     """
-    if not _enabled:
+    if not _options._current.metrics:
         yield
         return
     stack = _context_stack()
@@ -595,21 +564,21 @@ def current_context() -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 def observe(name: str, value: float) -> None:
     """Record one histogram observation (no-op when disabled)."""
-    if not _enabled:
+    if not _options._current.metrics:
         return
     metrics_store().histogram(name).observe(value)
 
 
 def gauge_set(name: str, value: float) -> None:
     """Set a gauge level (no-op when disabled)."""
-    if not _enabled:
+    if not _options._current.metrics:
         return
     metrics_store().gauge(name).set(value)
 
 
 def mark(name: str, n: int = 1) -> None:
     """Mark ``n`` events on a rate meter (no-op when disabled)."""
-    if not _enabled:
+    if not _options._current.metrics:
         return
     metrics_store().meter(name).mark(n)
 
@@ -622,7 +591,7 @@ def record_query(**fields: Any) -> None:
     streaming trace sink is active — forwards the record as a ``"Q"``
     trace record so stitched timelines carry query attribution.
     """
-    if not _enabled:
+    if not _options._current.metrics:
         return
     entry = current_context()
     for key, value in fields.items():

@@ -19,13 +19,13 @@ go" *after* a run from an in-memory snapshot.  This module answers it
   active sink records a ``P`` record and any registered hooks (e.g.
   the throttled stderr :class:`ProgressReporter` behind the CLIs'
   ``--progress`` flag) fire.
-* Activation: programmatic (:func:`start_trace`) or via
-  ``REPRO_TRACE=<path>`` (:func:`trace_from_env`).  Either way the
-  base path and trace id are (re-)exported as
-  ``REPRO_TRACE``/``REPRO_TRACE_ID``, so worker processes spawned by
-  :mod:`repro.parallel` can call :func:`open_worker_sink`, which
-  writes a sibling file ``<path>.<pid>`` sharing the parent's
-  trace id (both variables travel through the environment);
+* Activation: programmatic (:func:`start_trace`) or from the
+  ``trace`` option of :mod:`repro.options` (:func:`trace_from_env`).
+  Either way the base path and trace id become the ``trace`` /
+  ``trace_id`` fields of the options in force (:mod:`repro.options`),
+  which :mod:`repro.parallel` ships with every task, so a worker
+  process calls :func:`open_worker_sink` and writes a sibling file
+  ``<path>.<pid>`` sharing the parent's trace id;
   :func:`stitch_files` / :func:`discover_trace_files` reassemble the
   per-process files into one wall-clock-aligned timeline, and
   :func:`to_chrome` renders it as Chrome trace-event JSON
@@ -59,14 +59,14 @@ import sys
 import threading
 import time
 import uuid
+from dataclasses import replace as _replace
 from typing import Any, Callable, Dict, IO, Iterable, List, Optional
 
+from .. import options as _options
 from . import registry as _registry
 
 __all__ = [
     "ProgressReporter",
-    "TRACE_ENV",
-    "TRACE_ID_ENV",
     "TRACE_SCHEMA",
     "TraceSink",
     "active_sink",
@@ -77,7 +77,6 @@ __all__ = [
     "progress_from_env",
     "read_trace",
     "remove_progress_hook",
-    "setup_cli",
     "start_trace",
     "stitch_files",
     "stop_trace",
@@ -85,13 +84,6 @@ __all__ = [
     "trace_from_env",
 ]
 
-#: Environment variable naming the trace output path.
-TRACE_ENV = "REPRO_TRACE"
-#: Environment variable carrying the run-scoped trace id to workers.
-TRACE_ID_ENV = "REPRO_TRACE_ID"
-#: Environment variable that turns the stderr progress reporter on
-#: (set by the CLIs' ``--progress`` so pool workers inherit it).
-PROGRESS_ENV = "REPRO_PROGRESS"
 #: Schema tag written into every sink's meta record.
 TRACE_SCHEMA = "repro-trace-v1"
 
@@ -258,7 +250,7 @@ def _close_active_sink_at_exit() -> None:
     """Flush the active sink when the process ends.
 
     Short CLI runs never fill the sink's buffer, so without this hook
-    a ``REPRO_TRACE`` run that emits fewer than ``flush_every``
+    a traced run that emits fewer than ``flush_every``
     records would exit leaving an empty file.  Only this process's
     own sink is touched (a fork-inherited parent sink must not be
     flushed from a worker).
@@ -281,21 +273,20 @@ def start_trace(path: str, trace_id: Optional[str] = None,
 
     Replaces any previously-active sink (which is closed first, unless
     it was inherited from another process — see
-    :func:`open_worker_sink`).  Exports ``REPRO_TRACE`` and
-    ``REPRO_TRACE_ID`` so that worker processes spawned later join
-    the same logical trace (:func:`open_worker_sink` discovers the
-    base path and trace id through the environment) even when tracing
-    was activated programmatically rather than via ``REPRO_TRACE``.
-    Worker sinks themselves (:func:`open_worker_sink`) do not go
-    through here, so the exported base path is always the parent's.
+    :func:`open_worker_sink`).  Sets the ``trace`` / ``trace_id``
+    options to the sink's path and id, so pool tasks submitted later
+    join the same logical trace (the options travel with every task)
+    even when tracing was activated programmatically.  Worker sinks
+    themselves (:func:`open_worker_sink`) do not go through here, so
+    the shipped base path is always the parent's.
     """
     previous = _registry._trace_sink
     if previous is not None and previous.pid == os.getpid():
         previous.close()
     sink = TraceSink(path, trace_id=trace_id, role=role, mode=mode)
     _registry._set_trace_sink(sink)
-    os.environ[TRACE_ENV] = path
-    os.environ[TRACE_ID_ENV] = sink.trace_id
+    _options._install(_replace(_options.current(), trace=path,
+                               trace_id=sink.trace_id))
     _install_atexit()
     return sink
 
@@ -303,9 +294,9 @@ def start_trace(path: str, trace_id: Optional[str] = None,
 def stop_trace() -> Optional[str]:
     """Close and uninstall the active sink; returns its path.
 
-    Un-exports the ``REPRO_TRACE``/``REPRO_TRACE_ID`` variables when
-    they still point at this sink, so a later run in the same process
-    (or a test) does not silently re-activate a finished trace.
+    Clears the ``trace`` / ``trace_id`` options when they still point
+    at this sink, so a later run in the same process (or a test) does
+    not silently re-activate a finished trace.
     """
     sink = _registry._trace_sink
     if sink is None:
@@ -313,24 +304,24 @@ def stop_trace() -> Optional[str]:
     _registry._set_trace_sink(None)
     if sink.pid == os.getpid():
         sink.close()
-    if os.environ.get(TRACE_ENV) == sink.path:
-        os.environ.pop(TRACE_ENV, None)
-        os.environ.pop(TRACE_ID_ENV, None)
+    if _options.current().trace == sink.path:
+        _options._install(_replace(_options.current(), trace=None,
+                                   trace_id=None))
     return sink.path
 
 
 def trace_from_env() -> Optional[TraceSink]:
-    """Activate tracing from ``REPRO_TRACE`` (the CLI entry hook).
+    """Activate tracing from the ``trace`` option (the CLI entry step
+    calls this).
 
-    No-op when the variable is unset or a sink is already active.
-    Publishes the sink's trace id through ``REPRO_TRACE_ID`` so pool
-    workers join the same logical trace.
+    No-op when the option is unset or a sink is already active.
+    :func:`start_trace` publishes the sink's trace id in the options,
+    so pool workers join the same logical trace.
     """
-    path = os.environ.get(TRACE_ENV)
-    if not path or _registry._trace_sink is not None:
+    options = _options.current()
+    if not options.trace or _registry._trace_sink is not None:
         return None
-    # start_trace() re-exports the path and publishes the trace id.
-    return start_trace(path, trace_id=os.environ.get(TRACE_ID_ENV))
+    return start_trace(options.trace, trace_id=options.trace_id)
 
 
 def open_worker_sink() -> Optional[TraceSink]:
@@ -345,14 +336,14 @@ def open_worker_sink() -> Optional[TraceSink]:
     several tasks may run in one worker process) sharing the parent's
     trace id.
     """
-    base = os.environ.get(TRACE_ENV)
-    if not base:
+    options = _options.current()
+    if not options.trace:
         return None
     current = _registry._trace_sink
     if current is not None and current.pid == os.getpid():
         return None
-    sink = TraceSink(f"{base}.{os.getpid()}",
-                     trace_id=os.environ.get(TRACE_ID_ENV),
+    sink = TraceSink(f"{options.trace}.{os.getpid()}",
+                     trace_id=options.trace_id,
                      role="worker", mode="a")
     _registry._set_trace_sink(sink)
     _install_atexit()
@@ -435,14 +426,15 @@ class ProgressReporter:
 
 
 def progress_from_env() -> Optional[ProgressReporter]:
-    """Install a stderr reporter when ``REPRO_PROGRESS`` is set.
+    """Install a stderr reporter when the ``progress`` option is on
+    (set from the environment or the CLIs' ``--progress``).
 
-    Used by worker processes (their environment is inherited from the
-    parent CLI) and by :func:`setup_cli`.  Installs at most one
-    env-driven reporter per process.
+    Used by pool tasks (the option travels with them) and by the CLI
+    entry step.  Installs at most one option-driven reporter per
+    process.
     """
     global _env_reporter
-    if not os.environ.get(PROGRESS_ENV):
+    if not _options.current().progress:
         return None
     if _env_reporter is None:
         _env_reporter = ProgressReporter()
@@ -451,19 +443,6 @@ def progress_from_env() -> Optional[ProgressReporter]:
 
 
 _env_reporter: Optional[ProgressReporter] = None
-
-
-def setup_cli(progress_flag: bool = False) -> None:
-    """One-call observability bootstrap for the CLI entry points.
-
-    Activates ``REPRO_TRACE`` tracing if requested by the environment
-    and, when ``--progress`` was passed, exports ``REPRO_PROGRESS=1``
-    (so pool workers print too) and installs the stderr reporter.
-    """
-    trace_from_env()
-    if progress_flag:
-        os.environ[PROGRESS_ENV] = "1"
-    progress_from_env()
 
 
 # ----------------------------------------------------------------------

@@ -44,6 +44,11 @@ Protocol invariants (see ``docs/architecture.md``, Layer 0.7):
   :class:`repro.obs.Registry`; the parent folds every snapshot into
   the active registry under ``parallel/<name>/<label>`` and counts
   ``parallel.tasks`` / ``parallel.worker_crashes``.
+* **Options travel with the tasks.**  :func:`repro.options.current`
+  is captured at submission, next to the budget, and installed around
+  every task, in-process or in a worker process — workers never depend
+  on inheriting the parent's module state, so ``fork``, ``spawn`` and
+  ``forkserver`` pools run the same configuration.
 * **Fault plans re-script per task.**  An active
   :class:`~repro.resilience.FaultPlan` is shipped to worker processes
   as its schedule and re-armed from call index 0 for every task — the
@@ -61,6 +66,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence
 
 from .. import obs
+from ..options import current
 from ..resilience import Budget, Cancelled, EngineFailure, \
     ResourceExhausted
 from ..resilience import faults as _faults
@@ -225,17 +231,19 @@ class ParallelExecutor:
             raise Cancelled(budget_name=budget.name)
         self.last_race = {}
         spec = BudgetSpec.capture(budget, name=self.name)
+        options = current()
         if self.jobs == 1 or len(tasks) == 1:
             outcomes = self._drain_in_process(tasks, labels, spec,
-                                              first_win)
+                                              options, first_win)
         else:
-            outcomes = self._drain_pool(tasks, labels, spec, first_win)
+            outcomes = self._drain_pool(tasks, labels, spec, options,
+                                        first_win)
         self._merge(outcomes, budget,
                     reraise_cancelled=first_win is None)
         return outcomes
 
     # ------------------------------------------------------------------
-    def _drain_pool(self, tasks, labels, spec,
+    def _drain_pool(self, tasks, labels, spec, options,
                     first_win) -> List[WorkerOutcome]:
         """Run tasks over ``jobs`` worker processes (see
         :mod:`repro.parallel.stealing`) and turn the slots the watchdog
@@ -243,7 +251,7 @@ class ParallelExecutor:
         plan = _faults.active_plan()
         raws, meta = _stealing.execute(
             tasks, labels, spec,
-            plan.config() if plan is not None else None,
+            plan.config() if plan is not None else None, options,
             min(self.jobs, len(tasks)), self.name, first_win)
         self.last_race = meta
         reg = obs.get_registry()
@@ -271,7 +279,7 @@ class ParallelExecutor:
                         f"worker running {labels[i]!r} crashed")))
         return outcomes
 
-    def _drain_in_process(self, tasks, labels, spec,
+    def _drain_in_process(self, tasks, labels, spec, options,
                           first_win) -> List[WorkerOutcome]:
         """The in-process drain: tasks run in order through subbudget
         views of one budget restored from ``spec`` (detached from the
@@ -291,7 +299,7 @@ class ParallelExecutor:
                 continue
             child = shared.subbudget(name=name) \
                 if shared is not None else None
-            raw = _stealing.run_task(fn, payload, child, None)
+            raw = _stealing.run_task(fn, payload, child, None, options)
             outcome = self._decode(i, labels[i], raw)
             outcomes.append(outcome)
             if first_win is not None and outcome.ok and \

@@ -23,10 +23,12 @@ primitives, shipped at process-spawn time):
   no shared state: it is one absolute epoch for every worker.
 
 Per-task hygiene: every *stolen task* — not every worker process —
-re-arms the fault schedule from call index 0 and opens a fresh scoped
-registry (:func:`run_task`), so fault injection and the
-``parallel/<pool>/<label>`` obs merge are functions of the task label
-alone, independent of which worker stole it.
+runs under the submitter's :class:`~repro.options.Options`, re-arms
+the fault schedule from call index 0 and opens a fresh scoped registry
+(:func:`run_task`), so options, fault injection and the
+``parallel/<pool>/<label>`` obs merge are functions of the submission
+alone, independent of which worker stole the task and of the
+multiprocessing start method.
 
 Crash containment: an unexpected exception inside a task becomes that
 task's :class:`EngineFailure` outcome and the worker keeps draining.
@@ -48,6 +50,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, \
 
 from .. import obs
 from ..netlist import NetlistError
+from ..options import Options, use_options
 from ..resilience import Budget, Cancelled, EngineFailure, \
     ResourceExhausted
 from ..resilience import faults as _faults
@@ -119,8 +122,10 @@ class SharedBudget(Budget):
 def run_task(fn: Callable[[Any, Optional[Budget]], Any],
              payload: Any,
              budget: Optional[Budget],
-             fault_config: Optional[dict]) -> tuple:
-    """Run one task under a fresh scoped registry and re-armed faults.
+             fault_config: Optional[dict],
+             options: Options) -> tuple:
+    """Run one task under the submitter's ``options``, a fresh scoped
+    registry and re-armed faults.
 
     Returns ``(kind, value, snapshot, seconds)`` where ``kind`` is
     ``"ok"`` or ``"error"`` (the typed taxonomy comes back as a value;
@@ -129,17 +134,18 @@ def run_task(fn: Callable[[Any, Optional[Budget]], Any],
     under stealing; None leaves the active plan alone (the in-process
     drain, where the caller's plan is already live).
 
-    When ``REPRO_TRACE`` is set (inherited from the parent CLI) a
-    worker process opens a per-process sibling sink ``<path>.<pid>``
-    sharing the parent's trace id, so the parent can stitch all worker
-    files into one wall-clock-aligned timeline; ``REPRO_PROGRESS``
-    likewise re-installs the stderr reporter.  Both are no-ops when the
-    parent's sink/reporter are already live in this process.
+    When the ``trace`` option is set a worker process opens a
+    per-process sibling sink ``<path>.<pid>`` sharing the parent's
+    trace id, so the parent can stitch all worker files into one
+    wall-clock-aligned timeline; the ``progress`` option likewise
+    installs the stderr reporter.  Both are no-ops when the parent's
+    sink/reporter are already live in this process.
     """
-    obs.trace.open_worker_sink()
-    obs.trace.progress_from_env()
     watch = obs.stopwatch()
-    with obs.scoped(obs.Registry("worker")) as reg:
+    with use_options(options), \
+            obs.scoped(obs.Registry("worker")) as reg:
+        obs.trace.open_worker_sink()
+        obs.trace.progress_from_env()
         plan = _faults.FaultPlan(**fault_config) \
             if fault_config is not None else None
         try:
@@ -173,6 +179,7 @@ def _drain_worker(tasks: Sequence[tuple],
                   pool_name: str,
                   deadline_epoch: Optional[float],
                   fault_config: Optional[dict],
+                  options: Options,
                   task_q: Any,
                   result_q: Any,
                   cancel_event: Any,
@@ -193,7 +200,8 @@ def _drain_worker(tasks: Sequence[tuple],
                                   conflicts, queries, name=name)
             fn, payload = tasks[index]
             try:
-                raw = run_task(fn, payload, budget, fault_config)
+                raw = run_task(fn, payload, budget, fault_config,
+                               options)
             except Exception as exc:
                 # The task crashed, not the worker: fill its slot and
                 # keep draining, so healthy queued tasks still run.
@@ -211,6 +219,7 @@ def execute(tasks: Sequence[tuple],
             labels: Sequence[str],
             spec: Optional[Any],  # BudgetSpec (the shared pool)
             fault_config: Optional[dict],
+            options: Options,
             jobs: int,
             pool_name: str,
             first_win: Optional[Callable[[Any], bool]]
@@ -246,8 +255,8 @@ def execute(tasks: Sequence[tuple],
         ctx.Process(
             target=_drain_worker,
             args=(list(tasks), list(labels), pool_name, deadline_epoch,
-                  fault_config, task_q, result_q, cancel_event,
-                  conflicts, queries),
+                  fault_config, options, task_q, result_q,
+                  cancel_event, conflicts, queries),
             daemon=True)
         for _ in range(jobs)
     ]

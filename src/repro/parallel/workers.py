@@ -39,18 +39,24 @@ def run_strategy(payload: Dict[str, Any],
     Payload keys: ``net``, ``strategy``, ``sweep_config``,
     ``refine_gc_limit``.  Returns a
     :class:`~repro.core.portfolio.StrategyOutcome` — engine errors
-    become the outcome's ``error`` field exactly as in the sequential
-    portfolio loop.  :class:`Cancelled` (and anything non-engine)
-    propagates to the shim.
+    become the outcome's ``error`` field, and a strategy that starts
+    on an exhausted budget is skipped with a
+    :data:`~repro.core.portfolio.SKIPPED` error; the caller counts
+    both.  :class:`Cancelled` (and anything non-engine) propagates to
+    the shim.
     """
     from ..core.engine import TBVEngine
-    from ..core.portfolio import StrategyOutcome
+    from ..core.portfolio import SKIPPED, StrategyOutcome
     from ..netlist import NetlistError
     from ..resilience import EngineFailure, ResourceExhausted
 
     strategy = payload["strategy"]
     reg = obs.get_registry()
     label = strategy or "(none)"
+    reason = budget.exhausted() if budget is not None else None
+    if reason is not None:
+        return StrategyOutcome(strategy=strategy,
+                               error=f"{SKIPPED} ({reason})")
     try:
         with reg.span(label) as strategy_span:
             result = TBVEngine(
@@ -61,7 +67,6 @@ def run_strategy(payload: Dict[str, Any],
                                seconds=strategy_span.seconds)
     except (NetlistError, ValueError, EngineFailure,
             ResourceExhausted) as exc:
-        reg.counter("portfolio.failures")
         return StrategyOutcome(strategy=strategy, error=str(exc),
                                seconds=strategy_span.seconds)
 
@@ -105,10 +110,11 @@ def run_cube(payload: Dict[str, Any],
     Payload keys: ``mode`` (``cnf``/``bmc``/``induction``), the
     mode's rebuild recipe (clauses, or netlist + frame/k + target),
     ``cube`` (the assumption literals), ``cube_index``/``cube_of``,
-    and the ``certify`` / ``conflict_budget`` / ``share_max_len``
-    knobs.  Certification runs *inside* the worker (per-cube DRAT
-    check, witness replay); a :class:`CertificationFailure`
-    propagates to the shim and re-raises at the join.
+    and the ``conflict_budget`` / ``share_max_len`` knobs.  Under the
+    ``certification`` option certification runs *inside* the worker
+    (per-cube DRAT check, witness replay); a
+    :class:`CertificationFailure` propagates to the shim and
+    re-raises at the join.
     """
     from ..sat.cube import run_cube_task
 
@@ -119,10 +125,8 @@ def run_bmc_probe(payload: Dict[str, Any],
                   budget: Optional[Budget]) -> Any:
     """The quick falsification probe of ``prove()``'s engine race.
 
-    The optional ``certify`` and ``use_cubes`` payload keys carry the
-    parent's certification and cube-split toggles explicitly — a
-    worker never relies on inheriting process globals across the pool
-    boundary.  A
+    Certification and cube splitting follow the submitter's options,
+    which travel with the task.  A
     :class:`repro.resilience.CertificationFailure` propagates to the
     shim, surfaces as the outcome's ``error``, and the parent degrades
     it to the structural bound.
@@ -132,22 +136,16 @@ def run_bmc_probe(payload: Dict[str, Any],
     reg = obs.get_registry()
     with reg.span("quick-bmc"):
         return bmc(payload["net"], payload["target"],
-                   max_depth=payload["max_depth"], budget=budget,
-                   certify=payload.get("certify"),
-                   use_cubes=payload.get("use_cubes"))
+                   max_depth=payload["max_depth"], budget=budget)
 
 
 def run_induction_probe(payload: Dict[str, Any],
                         budget: Optional[Budget]) -> Any:
-    """The k-induction probe of ``prove()``'s engine race.
-
-    ``certify`` follows the :func:`run_bmc_probe` contract.
-    """
+    """The k-induction probe of ``prove()``'s engine race (options
+    as in :func:`run_bmc_probe`)."""
     from ..unroll import k_induction
 
     reg = obs.get_registry()
     with reg.span("k-induction"):
         return k_induction(payload["net"], payload["target"],
-                           max_k=payload["max_k"], budget=budget,
-                           certify=payload.get("certify"),
-                           use_cubes=payload.get("use_cubes"))
+                           max_k=payload["max_k"], budget=budget)

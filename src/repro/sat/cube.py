@@ -35,138 +35,56 @@ first-win event or resourced-out after another cube went SAT never
 masks the SAT verdict, and a :class:`CertificationFailure` always
 surfaces (``prove()`` degrades it to the structural bound).
 
-Everything is opt-in behind ``REPRO_CUBE`` / :func:`use_cubes` and
-engages only when a query proves *hard*: the caller first runs the
+Everything is opt-in behind the ``cubes`` option (:mod:`repro.options`)
+and engages only when a query proves *hard*: the caller first runs the
 plain incremental solve under a conflict threshold
-(``REPRO_CUBE_CONFLICTS``), and only a query that exhausts the
-threshold is split — easy queries never pay the fan-out tax.
+(``Options.cube_conflicts``), and only a query that exhausts the
+threshold is split — easy queries never pay the fan-out tax.  The
+other knobs: ``cube_vars`` (split on the top ``k`` variables, ``2^k``
+cubes), ``cube_jobs`` (worker processes of a race; nested pools are
+always clamped to 1) and ``cube_share`` (feed short learnt clauses from
+an all-UNSAT join back into the parent solver — sound, because
+assumption-based CDCL only learns consequences of the clause database;
+off while certifying, because injected lemmas are not axioms of the
+DRAT log).
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
-from contextlib import contextmanager
 from contextlib import nullcontext as _nullcontext
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..obs import metrics as _metrics
+from ..options import current, use_options
 from ..resilience import Budget, Cancelled, CertificationFailure, \
     EngineFailure, ResourceExhausted
 from ..resilience.errors import EXHAUSTED_CONFLICTS
-from .solver import SAT, UNKNOWN, UNSAT, Solver, use_proofs
+from .solver import SAT, UNKNOWN, UNSAT, Solver
 
 __all__ = [
     "CubeAttempt",
-    "CubeConfig",
     "CubeJoin",
-    "cube_config",
     "cube_solve",
     "cubes_enabled",
     "generate_cubes",
     "join_cubes",
     "run_cube_task",
     "score_variables",
-    "set_cube_config",
-    "set_cubes_enabled",
     "solve_cubes",
-    "use_cube_config",
-    "use_cubes",
 ]
 
-# ----------------------------------------------------------------------
-# Toggles (same idiom as use_proofs / use_simplify).
-# ----------------------------------------------------------------------
-_CUBE_ENV = "REPRO_CUBE"
-_cubes_enabled = os.environ.get(_CUBE_ENV, "").strip().lower() \
-    in ("1", "true", "yes", "on")
-
-
 def cubes_enabled() -> bool:
-    """True when hard queries are split into cube sets by default."""
-    return _cubes_enabled
+    """Whether hard queries are split into cube sets (``Options.cubes``)."""
+    return current().cubes
 
 
-def set_cubes_enabled(enabled: bool) -> bool:
-    """Set the global cube toggle; returns the previous value."""
-    global _cubes_enabled
-    previous = _cubes_enabled
-    _cubes_enabled = bool(enabled)
-    return previous
-
-
-@contextmanager
-def use_cubes(enabled: bool = True) -> Iterator[None]:
-    """Scoped override of the cube toggle."""
-    previous = set_cubes_enabled(enabled)
-    try:
-        yield
-    finally:
-        set_cubes_enabled(previous)
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    try:
-        return int(raw) if raw else default
-    except ValueError:
-        return default
-
-
-@dataclass(frozen=True)
-class CubeConfig:
-    """Tuning knobs of the cube path (all env-overridable).
-
-    ``cube_vars`` — split on the top ``k`` variables (``2^k`` cubes);
-    ``conflict_threshold`` — a query is *hard* (and split) only after
-    the plain solve burns this many conflicts inconclusively;
-    ``jobs`` — worker processes for the cube race (1 = in-process,
-    still deterministic; nested pools are always clamped to 1);
-    ``share_learned`` — feed short learnt clauses from an all-UNSAT
-    cube join back into the parent solver (sound: assumption-based
-    CDCL only learns consequences of the clause database; disabled
-    automatically while certifying, because injected lemmas are not
-    axioms of the DRAT log);
-    ``share_max_len`` / ``share_max_clauses`` — what "short" means.
-    """
-
-    cube_vars: int = _env_int("REPRO_CUBE_VARS", 3)
-    conflict_threshold: int = _env_int("REPRO_CUBE_CONFLICTS", 1500)
-    jobs: int = _env_int("REPRO_CUBE_JOBS", 1)
-    share_learned: bool = os.environ.get(
-        "REPRO_CUBE_SHARE", "").strip().lower() in ("1", "true", "yes",
-                                                    "on")
-    share_max_len: int = 4
-    share_max_clauses: int = 64
-
-
-_config = CubeConfig()
-
-
-def cube_config() -> CubeConfig:
-    """The active cube configuration."""
-    return _config
-
-
-def set_cube_config(**overrides: Any) -> CubeConfig:
-    """Replace fields of the active config; returns the previous one."""
-    global _config
-    previous = _config
-    _config = replace(_config, **overrides)
-    return previous
-
-
-@contextmanager
-def use_cube_config(**overrides: Any) -> Iterator[None]:
-    """Scoped override of cube configuration fields."""
-    global _config
-    previous = set_cube_config(**overrides)
-    try:
-        yield
-    finally:
-        _config = previous
+#: Learnt-clause sharing from an all-UNSAT join (``Options.cube_share``):
+#: only clauses up to this length, and at most this many of them.
+SHARE_MAX_LEN = 4
+SHARE_MAX_CLAUSES = 64
 
 
 # ----------------------------------------------------------------------
@@ -212,7 +130,7 @@ def generate_cubes(solver: Solver,
     enters first), and enumeration counts up in binary with variable
     rank as bit position — a fixed, jobs-independent order.
     """
-    k = cube_config().cube_vars if count_vars is None else count_vars
+    k = current().cube_vars if count_vars is None else count_vars
     top = score_variables(solver, exclude=exclude)[:max(0, k)]
     if not top:
         return []
@@ -242,8 +160,8 @@ def _rebuild_and_solve(payload: Dict[str, Any],
     mode = payload["mode"]
     cube = [int(lit) for lit in payload["cube"]]
     conflict_budget = payload.get("conflict_budget")
-    do_cert = bool(payload.get("certify"))
-    with use_proofs(True) if do_cert else _nullcontext():
+    certify = current().certification
+    with use_options(sat_proof=True) if certify else _nullcontext():
         if mode == "cnf":
             solver = Solver()
             for clause in payload["clauses"]:
@@ -310,11 +228,10 @@ def run_cube_task(payload: Dict[str, Any],
     reg = obs.get_registry()
     index = payload.get("cube_index", 0)
     total = payload.get("cube_of", 1)
-    do_cert = bool(payload.get("certify"))
     with reg.span("cube.task"):
         solver, result, cex, unroll = _rebuild_and_solve(payload,
                                                          budget)
-        if do_cert:
+        if current().certification:
             from ..cert import certify_unsat, certify_witness
             if result == UNSAT:
                 certify_unsat(solver, f"cube[{index}]")
@@ -444,9 +361,8 @@ def solve_cubes(payload: Dict[str, Any],
     """
     from ..parallel import ParallelExecutor, workers
 
-    cfg = cube_config()
     if jobs is None:
-        jobs = cfg.jobs
+        jobs = current().cube_jobs
     if multiprocessing.parent_process() is not None:
         jobs = 1  # never nest process pools inside a pool worker
     payloads = [dict(payload, cube=list(cube), cube_index=i,
@@ -510,8 +426,8 @@ def cube_solve(solver: Solver,
     sequential path.  Only a query that burns the whole threshold
     inconclusively is scored, split and raced.
     """
-    cfg = cube_config()
-    threshold = cfg.conflict_threshold
+    options = current()
+    threshold = options.cube_conflicts
     trial_cap = threshold if conflict_budget is None \
         else min(threshold, conflict_budget)
     result = solver.solve(assumptions, conflict_budget=trial_cap,
@@ -540,11 +456,11 @@ def cube_solve(solver: Solver,
                               budget=budget)
         return CubeAttempt(False, result,
                            exhaustion=solver.last_exhaustion)
-    share = cfg.share_learned and not payload.get("certify")
+    share = options.cube_share and not options.certification
     work = dict(payload, conflict_budget=conflict_budget)
     if share:
-        work["share_max_len"] = cfg.share_max_len
-        work["share_max_clauses"] = cfg.share_max_clauses
+        work["share_max_len"] = SHARE_MAX_LEN
+        work["share_max_clauses"] = SHARE_MAX_CLAUSES
     race = obs.stopwatch()
     join = solve_cubes(work, cubes, budget=budget, name=name)
     _metrics.record_query(

@@ -44,14 +44,14 @@ Literals use the 0-based encoding of :mod:`repro.sat.cnf` (variable
 from __future__ import annotations
 
 import heapq
-import os
-from contextlib import contextmanager
 from time import perf_counter
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, \
-    Tuple
+from typing import ContextManager, Dict, Iterable, List, Optional, \
+    Sequence, Tuple
 
 from .. import obs
+from .. import options as _options
 from ..obs import metrics as _metrics
+from ..options import Options, current, use_options
 from ..cert.proof import ProofLog
 from ..resilience import Budget, Cancelled, EngineFailure, \
     EXHAUSTED_CONFLICTS, EXHAUSTED_DEADLINE
@@ -78,150 +78,33 @@ def flat_enabled() -> bool:
 
 
 # ----------------------------------------------------------------------
-# Debug-checks toggle: watcher-integrity violations become loud
+# Views of the options in force (repro.options) that a new solver reads
+# at construction; kept as functions for tools recording the effective
+# toggle set.
 # ----------------------------------------------------------------------
-_DEBUG_ENV = "REPRO_SAT_DEBUG"
-_debug_checks = os.environ.get(_DEBUG_ENV, "0").strip().lower() \
-    not in ("0", "false", "off", "no", "")
-
-
 def debug_checks_enabled() -> bool:
     """Whether internal-consistency violations raise instead of pass."""
-    return _debug_checks
-
-
-def set_debug_checks(enabled: bool) -> bool:
-    """Set the debug-checks toggle; returns the previous value."""
-    global _debug_checks
-    previous = _debug_checks
-    _debug_checks = bool(enabled)
-    return previous
-
-
-# ----------------------------------------------------------------------
-# Search-time profiling toggle (the bench tool's time_split breakdown)
-# ----------------------------------------------------------------------
-_PROFILE_ENV = "REPRO_SAT_PROFILE"
-_profile_enabled = os.environ.get(_PROFILE_ENV, "0").strip().lower() \
-    not in ("0", "false", "off", "no", "")
+    return current().sat_debug
 
 
 def profile_enabled() -> bool:
     """Whether new solvers time propagation/analysis/decisions."""
-    return _profile_enabled
+    return current().sat_profile
 
 
-def set_profile_enabled(enabled: bool) -> bool:
-    """Set the profiling toggle; returns the previous value.
-
-    Only affects solvers constructed afterwards.
-    """
-    global _profile_enabled
-    previous = _profile_enabled
-    _profile_enabled = bool(enabled)
-    return previous
-
-
-@contextmanager
-def use_sat_profile(enabled: bool) -> Iterator[None]:
-    """Scoped override of the profiling toggle (the bench tool)."""
-    previous = set_profile_enabled(enabled)
-    try:
-        yield
-    finally:
-        set_profile_enabled(previous)
-
-
-# ----------------------------------------------------------------------
-# Proof-logging toggle (the certification layer, repro.cert)
-# ----------------------------------------------------------------------
-_PROOF_ENV = "REPRO_SAT_PROOF"
-
-
-def _parse_proof_env(value: str) -> Tuple[bool, Optional[str]]:
-    """``REPRO_SAT_PROOF``: off / in-memory ("1") / also stream to a
-    path (any other value is taken as a file name)."""
-    text = value.strip()
-    lowered = text.lower()
-    if lowered in ("", "0", "false", "off", "no"):
-        return False, None
-    if lowered in ("1", "true", "on", "yes"):
-        return True, None
-    return True, text
-
-
-_proof_enabled, _proof_stream_path = \
-    _parse_proof_env(os.environ.get(_PROOF_ENV, ""))
+def use_sat_profile(enabled: bool) -> ContextManager[Options]:
+    """Scoped override of the profiling option (the bench tool)."""
+    return use_options(sat_profile=bool(enabled))
 
 
 def proofs_enabled() -> bool:
-    """Whether new solvers log DRAT-style proof events.
-
-    Like profiling, the toggle is read at construction time only:
-    a solver either carries a :class:`~repro.cert.proof.ProofLog`
-    for its whole life or never pays a single hot-path branch.
-    """
-    return _proof_enabled
-
-
-def set_proofs_enabled(enabled: bool) -> bool:
-    """Set the proof-logging toggle; returns the previous value.
-
-    Only affects solvers constructed afterwards.
-    """
-    global _proof_enabled
-    previous = _proof_enabled
-    _proof_enabled = bool(enabled)
-    return previous
-
-
-@contextmanager
-def use_proofs(enabled: bool) -> Iterator[None]:
-    """Scoped override of the proof-logging toggle (certified runs)."""
-    previous = set_proofs_enabled(enabled)
-    try:
-        yield
-    finally:
-        set_proofs_enabled(previous)
-
-
-# ----------------------------------------------------------------------
-# Inprocessing toggle (repro.sat.simplify: subsumption / SSR / BVE)
-# ----------------------------------------------------------------------
-_SIMPLIFY_ENV = "REPRO_SAT_SIMPLIFY"
-_simplify_enabled = os.environ.get(_SIMPLIFY_ENV, "1").strip().lower() \
-    not in ("0", "false", "off", "no")
+    """Whether new solvers log DRAT-style proof events."""
+    return current().sat_proof
 
 
 def simplify_enabled() -> bool:
-    """Whether new solvers run inprocessing between restarts.
-
-    Read at construction time only, like the profiling and proof
-    toggles: a solver either schedules simplification rounds for its
-    whole life or never checks the schedule at all.
-    """
-    return _simplify_enabled
-
-
-def set_simplify_enabled(enabled: bool) -> bool:
-    """Set the inprocessing toggle; returns the previous value.
-
-    Only affects solvers constructed afterwards.
-    """
-    global _simplify_enabled
-    previous = _simplify_enabled
-    _simplify_enabled = bool(enabled)
-    return previous
-
-
-@contextmanager
-def use_simplify(enabled: bool) -> Iterator[None]:
-    """Scoped override of the inprocessing toggle (A/B testing)."""
-    previous = set_simplify_enabled(enabled)
-    try:
-        yield
-    finally:
-        set_simplify_enabled(previous)
+    """Whether new solvers run inprocessing between restarts."""
+    return current().sat_simplify
 
 
 #: Profiled search phases, in ``time_breakdown()`` key order.
@@ -297,24 +180,29 @@ class Solver:
         #: the call was conclusive (or inconclusive for a non-resource
         #: reason, e.g. an injected spurious unknown).
         self.last_exhaustion: Optional[str] = None
+        # The options in force are read once, here: a solver keeps its
+        # profiling / proof / inprocessing / debug setting for life.
+        options = current()
         #: Lifetime seconds spent in each search phase, or None when
         #: profiling was off at construction (the default — the hot
         #: path then carries no timing overhead at all).
         self._profile: Optional[Dict[str, float]] = \
             {phase: 0.0 for phase in PROFILE_PHASES} \
-            if _profile_enabled else None
+            if options.sat_profile else None
         #: DRAT-style proof event log (repro.cert), or None when proof
         #: logging was off at construction — the hot paths then guard
         #: on a single ``is not None`` per batch/conflict/solve, the
         #: same zero-cost-when-off contract as the profile wrappers.
         self._proof: Optional[ProofLog] = \
-            ProofLog(stream_path=_proof_stream_path) \
-            if _proof_enabled else None
+            ProofLog(stream_path=options.sat_proof_path) \
+            if options.sat_proof else None
         #: Inprocessing (repro.sat.simplify).  The schedule is
         #: conflict-driven: a round runs at the first restart whose
         #: lifetime conflict count reaches ``_simp_next``, then the
         #: gap doubles.
-        self._use_simplify = _simplify_enabled
+        self._use_simplify = options.sat_simplify
+        #: Watcher-integrity checks after DB reduction and inprocessing.
+        self._debug = options.sat_debug
         self._simp_next = 0
         self._simp_interval = 2000
         #: Variables that must never be eliminated: assumption
@@ -689,9 +577,9 @@ class Solver:
                           - profile_before[phase]) * 1e9)
                 if ns:
                     reg.counter(f"sat.{phase}_ns", ns)
-        if _metrics._enabled:
-            # One module-attribute load when disabled (the line
-            # above); everything below runs only under REPRO_METRICS.
+        if _options._current.metrics:
+            # One options read when disabled (the line above);
+            # everything below runs only with metrics on.
             _metrics.observe("sat.solve_seconds", solve_span.seconds)
             _metrics.gauge_set("sat.vars", self.num_vars)
             _metrics.mark("sat.solves")
@@ -1221,7 +1109,7 @@ class Solver:
         self._garbage = garbage
         if garbage * 2 > len(arena):
             self._compact()
-        if _debug_checks:
+        if self._debug:
             self._debug_check_watches()
 
     def _detach(self, cref: int) -> None:
@@ -1351,7 +1239,7 @@ class Solver:
         ok = simplify_round(self)
         self._simp_next = self.conflicts + self._simp_interval
         self._simp_interval = min(self._simp_interval * 2, 1 << 20)
-        if _debug_checks:
+        if self._debug:
             self._debug_check_watches()
         return ok
 
@@ -1501,7 +1389,7 @@ class Solver:
     @property
     def proof(self) -> Optional[ProofLog]:
         """The DRAT-style proof event log, or None when proof logging
-        was off at construction (see :func:`use_proofs`)."""
+        was off at construction (``Options.sat_proof``)."""
         return self._proof
 
     def trail_lits(self) -> List[int]:

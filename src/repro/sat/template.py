@@ -54,22 +54,20 @@ Cache
 :meth:`repro.netlist.netlist.Netlist.signature`), so every strategy,
 engine, and experiment row — including each worker process of
 :mod:`repro.parallel` — reuses one compilation per distinct netlist.
-Set the ``REPRO_FRAME_TEMPLATES=0`` environment variable or call
-:func:`set_templates_enabled` / :func:`use_templates` to fall back to
-the direct path globally (the A/B switch behind the golden tests and
-the bench tool's ``encode_speedup`` figure).
+Turning the ``templates`` option of :mod:`repro.options` off falls
+back to the direct path globally (the A/B switch behind the golden
+tests and the bench tool's ``encode_speedup`` figure).
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..netlist import GateType, Netlist
+from ..options import current
 from .cnf import pos
 from .solver import Solver
 from .tseitin import CnfSink, encode_frame, encode_mux
@@ -89,32 +87,9 @@ SLOT_BASE = 1 << 40
 #:   initial-value cones are compiled (the QBF init-cone encode).
 MODES = ("frame", "io", "init")
 
-_ENV_VAR = "REPRO_FRAME_TEMPLATES"
-_enabled = os.environ.get(_ENV_VAR, "1").strip().lower() \
-    not in ("0", "false", "off", "no")
-
-
 def templates_enabled() -> bool:
-    """Whether template stamping is globally enabled."""
-    return _enabled
-
-
-def set_templates_enabled(enabled: bool) -> bool:
-    """Set the global toggle; returns the previous value."""
-    global _enabled
-    previous = _enabled
-    _enabled = bool(enabled)
-    return previous
-
-
-@contextmanager
-def use_templates(enabled: bool) -> Iterator[None]:
-    """Scoped override of the global toggle (A/B testing, benches)."""
-    previous = set_templates_enabled(enabled)
-    try:
-        yield
-    finally:
-        set_templates_enabled(previous)
+    """Whether template stamping is on (``Options.templates``)."""
+    return current().templates
 
 
 def netlist_has_const0(net: Netlist) -> bool:
@@ -278,7 +253,7 @@ class FrameTemplate:
         Certification note: stamping goes through the backend's public
         ``add_clause`` / ``add_clauses_bulk`` entry points, never a
         private fast path — so when the solver's DRAT-style proof log
-        is armed (:func:`repro.sat.use_proofs`), every template-stamped
+        is armed (``Options.sat_proof``), every template-stamped
         clause is recorded as an input event and templated runs certify
         identically to direct encoding.
         """

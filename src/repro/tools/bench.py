@@ -41,7 +41,7 @@ import platform
 import subprocess
 from typing import Any, Dict, List, Optional, Sequence
 
-from .. import obs
+from .. import cli, obs
 from ..core.prove import prove
 from ..diameter.qbf import qbf_initial_diameter
 from ..diameter.recurrence import recurrence_diameter
@@ -51,8 +51,9 @@ from ..gen import iscas89
 from ..netlist import s27
 from ..resilience import Budget, FaultPlan, inject
 from ..obs import metrics as _metrics
-from ..sat.solver import PROFILE_PHASES, use_sat_profile, use_simplify
-from ..sat.template import clear_template_cache, use_templates
+from ..options import use_options
+from ..sat.solver import PROFILE_PHASES
+from ..sat.template import clear_template_cache
 from ..unroll import Unrolling, bmc, k_induction
 
 #: The fixed experiment slice: small-to-medium profiles at full scale
@@ -140,10 +141,10 @@ def _encode_section(reg: obs.Registry, design: str, frames: int,
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        with use_templates(False):
+        with use_options(templates=False):
             direct = best_of("direct")
         clear_template_cache()
-        with use_templates(True):
+        with use_options(templates=True):
             cold = encode_all("template_cold")
             warm = best_of("template_warm")
     finally:
@@ -480,15 +481,13 @@ def run_workload(reg: obs.Registry,
     # replay).  The verdict and depth must match exactly —
     # certification observes, never steers — and the overhead ratio
     # tracks the checker's cost revision over revision.
-    from ..cert import use_certification
-
     cert_keys = ("cert.checked", "cert.failed", "cert.lemmas_checked",
                  "cert.lemmas_trimmed")
     cert_before = {key: reg.counter_value(key) for key in cert_keys}
     with reg.span("bench/certification/plain") as plain_sp:
         plain = bmc(bmc_net, max_depth=cfg["bmc_depth"])
     with reg.span("bench/certification/certified") as cert_sp:
-        with use_certification(True):
+        with use_options(certification=True):
             certified = bmc(bmc_net, max_depth=cfg["bmc_depth"])
     cert_deltas = {key.split(".", 1)[1]:
                    reg.counter_value(key) - cert_before[key]
@@ -517,10 +516,10 @@ def run_workload(reg: obs.Registry,
                  "simplify.restored_vars")
     simp_before = {key: reg.counter_value(key) for key in simp_keys}
     with reg.span("bench/simplify/off") as off_sp:
-        with use_simplify(False):
+        with use_options(sat_simplify=False):
             simp_off = bmc(bmc_net, max_depth=cfg["bmc_depth"])
     with reg.span("bench/simplify/on") as on_sp:
-        with use_simplify(True):
+        with use_options(sat_simplify=True):
             simp_on = bmc(bmc_net, max_depth=cfg["bmc_depth"])
     simp_deltas = {key.split(".", 1)[1]:
                    reg.counter_value(key) - simp_before[key]
@@ -587,8 +586,8 @@ def run_bench(rev: str, timeout: float = 0,
         # Search-phase profiling feeds the time_split breakdown; the
         # toggle applies to every solver the workload constructs.
         # Distribution metrics feed the artifact's latency quantiles
-        # and ledger top-5 (workers inherit both via the environment).
-        with use_sat_profile(True), _metrics.use_metrics(True):
+        # and ledger top-5 (both options travel with pool tasks).
+        with use_options(sat_profile=True, metrics=True):
             sections = run_workload(reg, budget=budget, jobs=jobs,
                                     profile=profile)
             snapshot = reg.snapshot()
@@ -649,13 +648,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "section always runs)")
     parser.add_argument("--progress", action="store_true",
                         help="report live engine progress on stderr")
-    args = parser.parse_args(argv)
-    obs.trace.setup_cli(progress_flag=args.progress)
-    if args.cubes:
-        from ..sat import cube as _cube
+    return cli.run(_main, parser.parse_args(argv))
 
-        _cube.set_cubes_enabled(True)
-        _cube.set_cube_config(jobs=max(1, args.jobs))
+
+def _main(args: argparse.Namespace) -> int:
     rev = args.rev or _git_rev()
     artifact = run_bench(rev, timeout=args.timeout, jobs=args.jobs,
                          profile=args.profile)

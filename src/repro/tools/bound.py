@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 from typing import Optional, Sequence
 
-from .. import obs
+from .. import cli
 from ..core import TBVEngine, compare_strategies
 from ..diameter import recurrence_diameter
 from ..resilience import Budget, ResourceExhausted
@@ -98,13 +98,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "unchanged)")
     parser.add_argument("--progress", action="store_true",
                         help="report live engine progress on stderr")
-    args = parser.parse_args(argv)
-    obs.trace.setup_cli(progress_flag=args.progress)
-    if args.cubes:
-        from ..sat import cube as _cube
+    return cli.run(_main, parser.parse_args(argv))
 
-        _cube.set_cubes_enabled(True)
-        _cube.set_cube_config(jobs=max(1, args.jobs))
+
+def _main(args: argparse.Namespace) -> int:
 
     net = load_netlist(args.netlist)
     print(f"loaded {net}")

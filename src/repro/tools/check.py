@@ -19,11 +19,9 @@ target with a nonzero exit instead of being reported.
 from __future__ import annotations
 
 import argparse
-from contextlib import nullcontext
 from typing import Optional, Sequence
 
-from .. import obs
-from ..cert import use_certification
+from .. import cli, obs
 from ..core import TBVEngine
 from ..resilience import CertificationFailure
 from ..transform.localize_cegar import localization_refinement
@@ -59,8 +57,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="DRAT-check UNSAT verdicts and replay "
                              "counterexample witnesses; certification "
                              "failures exit nonzero")
-    args = parser.parse_args(argv)
+    return cli.run(_main, parser.parse_args(argv))
 
+
+def _main(args: argparse.Namespace) -> int:
     net = load_netlist(args.netlist)
     print(f"loaded {net}")
     from ..netlist import validate as validate_netlist
@@ -70,76 +70,74 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     failures = 0
     cert_failures = 0
     vcd_written = False
-    scope = use_certification(True) if args.certify else nullcontext()
-    with scope:
-        if args.method == "bmc":
-            engine = TBVEngine(args.strategy)
-            result = engine.run(net)
-            for report in result.reports:
-                label = report.name or f"t{report.target}"
-                if report.status == "proven":
-                    print(f"  {label:<20} PROVEN (by transformation)")
-                    continue
-                try:
-                    check = bmc(net, report.target,
-                                max_depth=args.max_depth,
-                                complete_bound=report.bound)
-                except CertificationFailure as exc:
-                    cert_failures += 1
-                    print(f"  {label:<20} CERTIFICATION FAILED "
-                          f"({exc})")
-                    continue
-                verdict = check.status.upper()
-                detail = ""
-                if check.status == "falsified":
-                    failures += 1
-                    detail = f" at depth {check.counterexample.depth}"
-                    if args.vcd and not vcd_written:
-                        with open(args.vcd, "w") as handle:
-                            handle.write(counterexample_to_vcd(
-                                net, report.target,
-                                check.counterexample))
-                        vcd_written = True
-                        detail += f" (waveform: {args.vcd})"
-                elif check.status == "bounded":
-                    detail = (f" (bound {report.bound} exceeds depth "
-                              f"budget {args.max_depth})")
-                if args.certify and check.status in (
-                        "falsified", "proven", "bounded"):
-                    detail += " [certified]"
-                print(f"  {label:<20} {verdict}{detail}")
-        elif args.method == "induction":
-            for target in net.targets:
-                label = net.gate(target).name or f"t{target}"
-                try:
-                    check = k_induction(net, target,
-                                        max_k=args.max_depth)
-                except CertificationFailure as exc:
-                    cert_failures += 1
-                    print(f"  {label:<20} CERTIFICATION FAILED "
-                          f"({exc})")
-                    continue
-                if check.status == "falsified":
-                    failures += 1
-                print(f"  {label:<20} {check.status.upper()} "
-                      f"(k = {check.depth_checked})")
-        else:
-            for target in net.targets:
-                label = net.gate(target).name or f"t{target}"
-                try:
-                    result = localization_refinement(
-                        net, target, max_depth=args.max_depth)
-                except CertificationFailure as exc:
-                    cert_failures += 1
-                    print(f"  {label:<20} CERTIFICATION FAILED "
-                          f"({exc})")
-                    continue
-                if result.status == "falsified":
-                    failures += 1
-                print(f"  {label:<20} {result.status.upper()} "
-                      f"({result.iterations} refinement(s), "
-                      f"{result.abstraction_registers} register(s) "
-                      "kept)")
+    if args.method == "bmc":
+        engine = TBVEngine(args.strategy)
+        result = engine.run(net)
+        for report in result.reports:
+            label = report.name or f"t{report.target}"
+            if report.status == "proven":
+                print(f"  {label:<20} PROVEN (by transformation)")
+                continue
+            try:
+                check = bmc(net, report.target,
+                            max_depth=args.max_depth,
+                            complete_bound=report.bound)
+            except CertificationFailure as exc:
+                cert_failures += 1
+                print(f"  {label:<20} CERTIFICATION FAILED "
+                      f"({exc})")
+                continue
+            verdict = check.status.upper()
+            detail = ""
+            if check.status == "falsified":
+                failures += 1
+                detail = f" at depth {check.counterexample.depth}"
+                if args.vcd and not vcd_written:
+                    with open(args.vcd, "w") as handle:
+                        handle.write(counterexample_to_vcd(
+                            net, report.target,
+                            check.counterexample))
+                    vcd_written = True
+                    detail += f" (waveform: {args.vcd})"
+            elif check.status == "bounded":
+                detail = (f" (bound {report.bound} exceeds depth "
+                          f"budget {args.max_depth})")
+            if args.certify and check.status in (
+                    "falsified", "proven", "bounded"):
+                detail += " [certified]"
+            print(f"  {label:<20} {verdict}{detail}")
+    elif args.method == "induction":
+        for target in net.targets:
+            label = net.gate(target).name or f"t{target}"
+            try:
+                check = k_induction(net, target,
+                                    max_k=args.max_depth)
+            except CertificationFailure as exc:
+                cert_failures += 1
+                print(f"  {label:<20} CERTIFICATION FAILED "
+                      f"({exc})")
+                continue
+            if check.status == "falsified":
+                failures += 1
+            print(f"  {label:<20} {check.status.upper()} "
+                  f"(k = {check.depth_checked})")
+    else:
+        for target in net.targets:
+            label = net.gate(target).name or f"t{target}"
+            try:
+                result = localization_refinement(
+                    net, target, max_depth=args.max_depth)
+            except CertificationFailure as exc:
+                cert_failures += 1
+                print(f"  {label:<20} CERTIFICATION FAILED "
+                      f"({exc})")
+                continue
+            if result.status == "falsified":
+                failures += 1
+            print(f"  {label:<20} {result.status.upper()} "
+                  f"({result.iterations} refinement(s), "
+                  f"{result.abstraction_registers} register(s) "
+                  "kept)")
     if args.certify:
         print(f"  {_cert_summary()}")
     if cert_failures:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 from typing import Optional, Sequence
 
+from .. import cli
 from ..core import TBVEngine
 from .io import load_netlist, save_netlist
 
@@ -24,8 +25,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("destination", help="output .bench or .aag file")
     parser.add_argument("--transform", default="",
                         help="optional strategy to apply first")
-    args = parser.parse_args(argv)
+    return cli.run(_main, parser.parse_args(argv))
 
+
+def _main(args: argparse.Namespace) -> int:
     net = load_netlist(args.source)
     print(f"loaded {net}")
     if args.transform:

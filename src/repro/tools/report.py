@@ -25,7 +25,7 @@ a mail attachment years later and still render.  Sections:
 
 Everything here is presentation: the numbers come verbatim from the
 artifact produced by :mod:`repro.tools.bench` and the trace written
-under ``REPRO_TRACE`` (see :mod:`repro.obs.trace`).
+under the ``trace`` option (see :mod:`repro.obs.trace`).
 """
 
 from __future__ import annotations

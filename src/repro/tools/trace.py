@@ -14,7 +14,7 @@ Usage::
                                          [--report-only]
 
 ``summary`` and ``export`` operate on the JSONL files written under
-``REPRO_TRACE=<path>`` (see :mod:`repro.obs.trace`): given the parent
+the ``trace`` option (see :mod:`repro.obs.trace`): given the parent
 path they automatically pick up the per-worker siblings
 ``<path>.<pid>`` and stitch everything into one wall-clock-aligned
 timeline.  ``export --format chrome`` writes Chrome trace-event JSON

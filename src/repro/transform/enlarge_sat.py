@@ -21,10 +21,10 @@ from typing import Dict, List, Optional
 from .. import obs
 from ..core.record import StepKind, TransformResult, TransformStep
 from ..netlist import GateType, Netlist, rebuild
+from ..options import current
 from ..sat import SAT, CnfSink, Solver, encode_frame, encode_mux, \
     lit_not, pos
-from ..sat.template import get_template, netlist_has_const0, \
-    templates_enabled
+from ..sat.template import get_template, netlist_has_const0
 
 #: A cube: state-element vid -> required value.
 Cube = Dict[int, int]
@@ -63,7 +63,8 @@ def _enumerate_preimage(net: Netlist, cubes: List[Cube],
     """
     solver = Solver()
     sink = CnfSink(solver)
-    tmpl = get_template(net, "frame") if templates_enabled() else None
+    tmpl = get_template(net, "frame") if current().templates \
+        else None
     state0 = {vid: pos(solver.new_var()) for vid in net.state_elements}
     if (tmpl.has_const0 if tmpl is not None
             else netlist_has_const0(net)):
@@ -152,7 +153,8 @@ def enlarge_target_sat(net: Netlist, target: Optional[int] = None,
     # same way over a single frame (no next-state tail needed).
     solver = Solver()
     sink = CnfSink(solver)
-    tmpl = get_template(net, "frame") if templates_enabled() else None
+    tmpl = get_template(net, "frame") if current().templates \
+        else None
     state_lits = {vid: pos(solver.new_var())
                   for vid in net.state_elements}
     if (tmpl.has_const0 if tmpl is not None

@@ -39,11 +39,11 @@ from ..netlist import (
     rebuild,
     topological_order,
 )
+from ..options import current
 from ..resilience import Budget, Cancelled
 from ..sat import SAT, UNSAT, CnfSink, Solver, encode_frame, \
     encode_init_state, encode_mux, lit_not, pos
-from ..sat.template import get_template, netlist_has_const0, \
-    templates_enabled
+from ..sat.template import get_template, netlist_has_const0
 from ..sim import constant_state_elements, random_signatures
 
 
@@ -94,7 +94,7 @@ class _InductiveChecker:
         # with its next-state tail (a full stamp), and the tail-less
         # frame 1 / base frame (``with_next=False`` stops at the core
         # boundary, exactly the plain ``encode_frame`` shape).
-        tmpl = get_template(net, "frame") if templates_enabled() \
+        tmpl = get_template(net, "frame") if current().templates \
             else None
         has_const0 = tmpl.has_const0 if tmpl is not None \
             else netlist_has_const0(net)

@@ -17,10 +17,11 @@ from typing import Dict, List, Optional
 
 from .. import obs
 from ..obs import metrics as _metrics
-from ..cert import certification_enabled, certify_unsat, certify_witness
+from ..cert import certify_unsat, certify_witness
 from ..netlist import Netlist
+from ..options import current, use_options
 from ..resilience import Budget, Cancelled
-from ..sat import SAT, UNKNOWN, use_proofs
+from ..sat import SAT, UNKNOWN
 from ..sat import cube as _cube
 from .unroller import Unrolling
 
@@ -110,8 +111,6 @@ def bmc(
     conflict_budget: Optional[int] = None,
     budget: Optional[Budget] = None,
     use_template: Optional[bool] = None,
-    certify: Optional[bool] = None,
-    use_cubes: Optional[bool] = None,
 ) -> BMCResult:
     """Check target reachability for depths ``0 .. max_depth - 1``.
 
@@ -124,33 +123,33 @@ def bmc(
     :data:`ABORTED` with a structured ``exhaustion_reason``,
     cancellation raises.  ``use_template`` forwards to
     :class:`~repro.unroll.unroller.Unrolling` (None = the global
-    template toggle); either setting yields identical results.
+    ``templates`` option); either setting yields identical results.
 
-    ``certify`` (None = the :func:`repro.cert.certification_enabled`
-    toggle) arms verdict certification: the unrolling solver keeps a
-    DRAT-style proof log, refuted windows are checked by the
-    :mod:`repro.cert.drat` checker on exit, and counterexamples are
-    replayed through the bit-parallel simulator before FALSIFIED is
-    returned.  A verdict that fails its check raises
+    The ``certification`` option (:mod:`repro.options`) arms verdict
+    certification: the unrolling solver keeps a DRAT-style proof log,
+    refuted windows are checked by the :mod:`repro.cert.drat` checker
+    on exit, and counterexamples are replayed through the
+    bit-parallel simulator before FALSIFIED is returned.  A verdict
+    that fails its check raises
     :class:`repro.resilience.CertificationFailure` instead of
     returning.  ABORTED results are never certified (no verdict
     stands).
 
-    ``use_cubes`` (None = the :func:`repro.sat.cube.cubes_enabled`
-    toggle) arms the cube-and-conquer path: a frame query that burns
-    the configured conflict threshold inconclusively is split into a
-    cube set and raced across workers (see :mod:`repro.sat.cube`).
+    The ``cubes`` option arms the cube-and-conquer path: a frame
+    query that burns the configured conflict threshold inconclusively
+    is split into a cube set and raced across workers (see
+    :mod:`repro.sat.cube`).
     Verdicts, bounds and ``depth_checked`` are identical either way;
     a SAT frame's counterexample may come from any cube (each is
-    certified by replay when ``certify`` is armed).
+    certified by replay when certifying).
     """
     if target is None:
         if not net.targets:
             raise ValueError("netlist has no targets")
         target = net.targets[0]
-    do_cert = certification_enabled() if certify is None else certify
-    cubes = _cube.cubes_enabled() if use_cubes is None else use_cubes
-    with use_proofs(True) if do_cert else _nullcontext():
+    options = current()
+    do_cert, cubes = options.certification, options.cubes
+    with use_options(sat_proof=True) if do_cert else _nullcontext():
         unroll = Unrolling(net, constrain_init=True,
                            use_template=use_template)
     refuted = 0
@@ -188,8 +187,7 @@ def bmc(
                         unroll.solver, [lit],
                         payload={"mode": "bmc", "net": net,
                                  "frame": t, "target": target,
-                                 "use_template": use_template,
-                                 "certify": do_cert},
+                                 "use_template": use_template},
                         conflict_budget=conflict_budget,
                         budget=budget, name="bmc.cube")
                     result = attempt.result
@@ -250,8 +248,6 @@ def bmc_multi(
     conflict_budget: Optional[int] = None,
     budget: Optional[Budget] = None,
     use_template: Optional[bool] = None,
-    certify: Optional[bool] = None,
-    use_cubes: Optional[bool] = None,
 ) -> Dict[int, BMCResult]:
     """Check many targets over one shared unrolling.
 
@@ -263,11 +259,11 @@ def bmc_multi(
     diameter bounds; a target whose window closes is PROVEN and not
     queried further.
 
-    ``certify`` follows the :func:`bmc` contract.  Witnesses are
+    Certification follows the :func:`bmc` contract.  Witnesses are
     replayed at discovery time; the shared solver's proof log —
     which covers every refuted (target, frame) query — is checked
     once after the sweep, so one check certifies every UNSAT-backed
-    verdict in the returned map.  ``use_cubes`` follows the
+    verdict in the returned map.  Cube splitting follows the
     :func:`bmc` contract too; a cube-refuted (target, frame) query is
     certified in its workers, not by the shared solver's log, so the
     final check is skipped when *every* refutation came from cubes.
@@ -275,10 +271,10 @@ def bmc_multi(
     if targets is None:
         targets = list(dict.fromkeys(net.targets))
     complete_bounds = complete_bounds or {}
-    do_cert = certification_enabled() if certify is None else certify
-    cubes = _cube.cubes_enabled() if use_cubes is None else use_cubes
+    options = current()
+    do_cert, cubes = options.certification, options.cubes
     watch = obs.stopwatch()
-    with use_proofs(True) if do_cert else _nullcontext():
+    with use_options(sat_proof=True) if do_cert else _nullcontext():
         unroll = Unrolling(net, constrain_init=True,
                            use_template=use_template)
     refuted_local = 0
@@ -313,8 +309,7 @@ def bmc_multi(
                         unroll.solver, [lit],
                         payload={"mode": "bmc", "net": net,
                                  "frame": t, "target": target,
-                                 "use_template": use_template,
-                                 "certify": do_cert},
+                                 "use_template": use_template},
                         conflict_budget=conflict_budget,
                         budget=budget, name="bmc.multi.cube")
                     outcome = attempt.result

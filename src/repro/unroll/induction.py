@@ -16,11 +16,11 @@ from typing import Dict, Optional
 
 from .. import obs
 from ..obs import metrics as _metrics
-from ..cert import certification_enabled, certify_unsat
+from ..cert import certify_unsat
 from ..netlist import Netlist
+from ..options import current, use_options
 from ..resilience import Budget
-from ..sat import UNKNOWN, UNSAT, CnfSink, encode_xor2, lit_not, pos, \
-    use_proofs
+from ..sat import UNKNOWN, UNSAT, CnfSink, encode_xor2, lit_not, pos
 from ..sat import cube as _cube
 from .bmc import BMCResult, FALSIFIED, PROVEN, BOUNDED, ABORTED, \
     _budget_abort, _budget_remaining, bmc
@@ -47,8 +47,6 @@ def k_induction(
     conflict_budget: Optional[int] = None,
     budget: Optional[Budget] = None,
     use_template: Optional[bool] = None,
-    certify: Optional[bool] = None,
-    use_cubes: Optional[bool] = None,
 ) -> BMCResult:
     """Prove or falsify a target by k-induction up to ``max_k``.
 
@@ -71,18 +69,17 @@ def k_induction(
     counters expose the encoding size so the reduction is visible in
     bench artifacts.
 
-    ``certify`` (None = the global certification toggle) certifies
+    The ``certification`` option (:mod:`repro.options`) certifies
     both halves of a PROVEN verdict: the base window through
     :func:`~repro.unroll.bmc.bmc`'s own certification, and the step
     refutation by DRAT-checking the step solver's proof log before
     PROVEN is returned.  Failure raises
     :class:`repro.resilience.CertificationFailure`.
 
-    ``use_cubes`` (None = the :func:`repro.sat.cube.cubes_enabled`
-    toggle) arms cube-and-conquer for both halves: the base window
-    through :func:`~repro.unroll.bmc.bmc`'s cube path, and the step
-    query by splitting it when it exceeds the configured conflict
-    threshold.  A cube-refuted step is certified per cube in its
+    The ``cubes`` option arms cube-and-conquer for both halves: the
+    base window through :func:`~repro.unroll.bmc.bmc`'s cube path, and
+    the step query by splitting it when it exceeds the configured
+    conflict threshold.  A cube-refuted step is certified per cube in its
     workers; the parent proof-log check then covers only queries this
     solver refuted itself.
     """
@@ -90,22 +87,21 @@ def k_induction(
         if not net.targets:
             raise ValueError("netlist has no targets")
         target = net.targets[0]
-    do_cert = certification_enabled() if certify is None else certify
-    cubes = _cube.cubes_enabled() if use_cubes is None else use_cubes
+    options = current()
+    do_cert, cubes = options.certification, options.cubes
     # Base cases are discharged incrementally by plain BMC.  Base and
     # step share one compiled frame template (the template cache is
     # keyed by netlist structure, not by unrolling).
     base = bmc(net, target, max_depth=max_k + 1,
                conflict_budget=conflict_budget, budget=budget,
-               use_template=use_template, certify=do_cert,
-               use_cubes=cubes)
+               use_template=use_template)
     if base.status in (FALSIFIED, ABORTED):
         return base
 
     # Step: an unconstrained simple path of k+1 states with the target
     # false at 0..k-1 and true at k must be UNSAT for inductiveness.
     reg = obs.get_registry()
-    with use_proofs(True) if do_cert else _nullcontext():
+    with use_options(sat_proof=True) if do_cert else _nullcontext():
         step = Unrolling(net, constrain_init=False,
                          use_template=use_template)
     solver = step.solver
@@ -132,8 +128,7 @@ def k_induction(
                     solver, assumptions,
                     payload={"mode": "induction", "net": net,
                              "k": k, "target": target,
-                             "use_template": use_template,
-                             "certify": do_cert},
+                             "use_template": use_template},
                     conflict_budget=conflict_budget,
                     budget=budget, name="induction.cube")
                 result = attempt.result

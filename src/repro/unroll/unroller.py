@@ -22,10 +22,10 @@ from typing import Dict, List, Optional
 
 from .. import obs
 from ..netlist import GateType, Netlist
+from ..options import current
 from ..sat import CnfSink, Solver, encode_frame, encode_init_state, \
     encode_mux, pos
-from ..sat.template import get_template, netlist_has_const0, \
-    templates_enabled
+from ..sat.template import get_template, netlist_has_const0
 
 
 class Unrolling:
@@ -43,7 +43,7 @@ class Unrolling:
         self.sink = CnfSink(self.solver)
         self.constrain_init = constrain_init
         if use_template is None:
-            use_template = templates_enabled()
+            use_template = current().templates
         self._template = get_template(net, "frame") if use_template \
             else None
         self._has_const0 = self._template.has_const0 \

@@ -17,6 +17,7 @@ from repro.cert import CertificationFailure, use_certification
 from repro.core import prove
 from repro.gen import iscas89
 from repro.netlist import NetlistBuilder
+from repro.options import use_options
 from repro.parallel import WorkerOutcome
 from repro.resilience import FAULT_CORRUPT_MODEL, FaultPlan, inject
 from repro.sat import Solver
@@ -27,6 +28,12 @@ from repro.unroll import (
     bmc,
     k_induction,
 )
+
+
+def _certified(certify, engine, *args, **kwargs):
+    """Run ``engine`` with verdict certification on or off."""
+    with use_certification(certify):
+        return engine(*args, **kwargs)
 
 
 def counter_target(width, hit_value):
@@ -60,8 +67,8 @@ class TestVerdictIdentity:
     @pytest.mark.parametrize("design", ["s27", "s298"])
     def test_iscas_bmc_verdicts_identical(self, design):
         net = iscas89.generate(design)
-        plain = bmc(net, max_depth=12, certify=False)
-        certified = bmc(net, max_depth=12, certify=True)
+        plain = _certified(False, bmc, net, max_depth=12)
+        certified = _certified(True, bmc, net, max_depth=12)
         assert certified.status == plain.status
         assert certified.depth_checked == plain.depth_checked
         if plain.counterexample is None:
@@ -77,7 +84,7 @@ class TestVerdictIdentity:
     def test_counterexample_certified(self):
         net, t = counter_target(3, 5)
         with obs.scoped(obs.Registry("cert-int")) as reg:
-            result = bmc(net, t, max_depth=10, certify=True)
+            result = _certified(True, bmc, net, t, max_depth=10)
             snap = reg.snapshot()
         assert result.status == FALSIFIED
         assert result.counterexample.depth == 5
@@ -89,8 +96,8 @@ class TestVerdictIdentity:
     def test_proven_bmc_certified(self):
         net, t = unreachable_target()
         with obs.scoped(obs.Registry("cert-int")) as reg:
-            result = bmc(net, t, max_depth=8, complete_bound=4,
-                         certify=True)
+            result = _certified(True, bmc, net, t, max_depth=8,
+                                complete_bound=4)
             snap = reg.snapshot()
         assert result.status == PROVEN
         assert snap["counters"]["cert.checked"] == 1
@@ -98,7 +105,7 @@ class TestVerdictIdentity:
     def test_k_induction_proof_certified(self):
         net, t = unreachable_target()
         with obs.scoped(obs.Registry("cert-int")) as reg:
-            result = k_induction(net, t, max_k=4, certify=True)
+            result = _certified(True, k_induction, net, t, max_k=4)
             snap = reg.snapshot()
         assert result.status == PROVEN
         # Base-case BMC frames plus the inductive step each conclude.
@@ -113,7 +120,7 @@ class TestAdversarialCorruption:
         net = s1269()
         with inject(FaultPlan(corrupt_learnt=range(10 ** 6))):
             with pytest.raises(CertificationFailure) as info:
-                bmc(net, max_depth=12, certify=True)
+                _certified(True, bmc, net, max_depth=12)
         assert info.value.stage == "proof"
 
     def test_corrupt_learnt_accepted_silently_without_certification(self):
@@ -123,7 +130,7 @@ class TestAdversarialCorruption:
         # certification layer exists to close.
         net = s1269()
         with inject(FaultPlan(corrupt_learnt=range(10 ** 6))):
-            result = bmc(net, max_depth=12, certify=False)
+            result = _certified(False, bmc, net, max_depth=12)
         assert result.status in (FALSIFIED, BOUNDED, PROVEN)
 
     def test_corrupt_model_caught_by_witness_replay(self):
@@ -131,14 +138,14 @@ class TestAdversarialCorruption:
         # Call index 5 is the SAT frame (frames 0..4 refute).
         with inject(FaultPlan(at={5: FAULT_CORRUPT_MODEL})):
             with pytest.raises(CertificationFailure) as info:
-                bmc(net, t, max_depth=10, certify=True)
+                _certified(True, bmc, net, t, max_depth=10)
         assert info.value.stage == "witness"
         assert "under simulation" in str(info.value)
 
     def test_corrupt_model_accepted_silently_without_certification(self):
         net, t = counter_target(3, 5)
         with inject(FaultPlan(at={5: FAULT_CORRUPT_MODEL})):
-            result = bmc(net, t, max_depth=10, certify=False)
+            result = _certified(False, bmc, net, t, max_depth=10)
         assert result.status == FALSIFIED
 
 
@@ -243,14 +250,12 @@ class TestInprocessingCertified:
     verdict is identical with the simplifier on and off."""
 
     def test_bmc_verdict_identical_and_certified_with_simplify(self):
-        from repro.sat import use_simplify
-
         net, t = pigeonhole_net(6, 5)
-        with use_simplify(False):
-            off = bmc(net, t, max_depth=1, certify=True)
+        with use_options(sat_simplify=False):
+            off = _certified(True, bmc, net, t, max_depth=1)
         with obs.scoped(obs.Registry("cert-int")) as reg:
-            with use_simplify(True):
-                on = bmc(net, t, max_depth=1, certify=True)
+            with use_options(sat_simplify=True):
+                on = _certified(True, bmc, net, t, max_depth=1)
             snap = reg.snapshot()
         assert (on.status, on.depth_checked) == \
             (off.status, off.depth_checked) == (BOUNDED, 1)

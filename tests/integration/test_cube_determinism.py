@@ -15,9 +15,10 @@ from repro.experiments.runner import format_table
 from repro.experiments.table1 import run as run_table1
 from repro.gen import iscas89
 from repro.netlist import s27
+from repro.options import use_options
 from repro.sat import SAT, UNSAT
 from repro.sat.cnf import neg, pos
-from repro.sat.cube import solve_cubes, use_cube_config, use_cubes
+from repro.sat.cube import solve_cubes
 from repro.unroll import bmc
 
 TITLE = "Table 1: ISCAS89 (profile-synthesized)"
@@ -44,9 +45,8 @@ class TestCubeDeterminism:
         baseline = format_table(
             run_table1(scale=0.1, designs=["S27"], jobs=1), TITLE)
         for jobs in (1, 2, 4):
-            with use_cubes(True), \
-                    use_cube_config(conflict_threshold=8, cube_vars=2,
-                                    jobs=jobs):
+            with use_options(cubes=True, cube_conflicts=8, cube_vars=2,
+                             cube_jobs=jobs):
                 rows = run_table1(scale=0.1, designs=["S27"],
                                   jobs=jobs)
             assert format_table(rows, TITLE) == baseline, \
@@ -56,7 +56,8 @@ class TestCubeDeterminism:
         net = s27()
         baseline = prove(net, jobs=1)
         for jobs in (1, 2):
-            raced = prove(net, jobs=jobs, use_cubes=True)
+            with use_options(cubes=True):
+                raced = prove(net, jobs=jobs)
             assert raced.status == baseline.status
             assert raced.method == baseline.method
             assert raced.bound == baseline.bound
@@ -66,9 +67,8 @@ class TestCubeDeterminism:
         # hard enough that a 1-conflict threshold reliably splits.
         net = iscas89.generate("S298", scale=0.15)
         plain = bmc(net, max_depth=5)
-        with use_cubes(True), \
-                use_cube_config(conflict_threshold=1, cube_vars=2,
-                                jobs=2):
+        with use_options(cubes=True, cube_conflicts=1, cube_vars=2,
+                         cube_jobs=2):
             with obs.scoped(obs.Registry("t")) as reg:
                 raced = bmc(net, max_depth=5)
                 snap = reg.snapshot()
@@ -117,9 +117,9 @@ class TestPooledCubeRace:
         # cert counters fold back un-prefixed, so a certified join
         # shows one check per cube.
         clauses = _php_clauses(3)
-        with obs.scoped(obs.Registry("t")) as reg:
-            join = solve_cubes({"mode": "cnf", "clauses": clauses,
-                                "certify": True},
+        with use_options(certification=True), \
+                obs.scoped(obs.Registry("t")) as reg:
+            join = solve_cubes({"mode": "cnf", "clauses": clauses},
                                [(neg(0),), (pos(0),)], jobs=2)
             snap = reg.snapshot()
         assert join.result == UNSAT

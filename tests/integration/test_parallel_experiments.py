@@ -85,8 +85,8 @@ class TestPortfolioAndProve:
         # The strategies share one conflict pool instead of equal
         # slices of it: COM,RET,COM needs more than a fifth of this
         # budget, which a slice would deny it, while the portfolio's
-        # total demand fits the pool — so the fan-out reaches the
-        # unbudgeted bounds.
+        # total demand fits the pool — so the portfolio reaches the
+        # unbudgeted bounds at every jobs value.
         net = iscas89.generate("S298", scale=0.1)
         free = compare_strategies(net)
         seq = compare_strategies(net, budget=Budget(conflicts=40),
@@ -97,6 +97,16 @@ class TestPortfolioAndProve:
             bound = par.best(target)[0]
             assert bound == free.best(target)[0]
             assert bound <= seq.best(target)[0]
+
+    def test_budgeted_portfolio_bound_independent_of_jobs(self):
+        # One budget policy at every jobs value: a shared pool, not
+        # equal slices at jobs=1 (which gave 64 here against 4 at
+        # jobs=2).
+        net = iscas89.generate("S298", scale=0.1)
+        seq, par = (compare_strategies(net, budget=Budget(conflicts=20),
+                                       jobs=jobs) for jobs in (1, 2))
+        for target in net.targets:
+            assert seq.best(target)[0] == par.best(target)[0]
 
     def test_portfolio_telemetry_lands_under_parallel_prefix(self):
         with obs.scoped(obs.Registry("t")) as reg:

@@ -14,7 +14,8 @@ from repro import obs
 from repro.core.prove import prove
 from repro.diameter.recurrence import recurrence_diameter
 from repro.netlist import NetlistBuilder, s27
-from repro.sat.template import clear_template_cache, use_templates
+from repro.options import use_options
+from repro.sat.template import clear_template_cache
 from repro.unroll import FALSIFIED, PROVEN, bmc, k_induction
 
 
@@ -38,10 +39,10 @@ def unreachable_target():
 def both_paths(run):
     """Run ``run()`` under templates off, then on (cold cache)."""
     clear_template_cache()
-    with use_templates(False):
+    with use_options(templates=False):
         direct = run()
     clear_template_cache()
-    with use_templates(True):
+    with use_options(templates=True):
         templated = run()
     return direct, templated
 
@@ -104,6 +105,14 @@ class TestGoldenVerdicts:
         assert direct.bound == templ.bound
 
 
+def _run_total(reg, name):
+    """``name`` summed over the whole run: top level plus every
+    ``parallel/<pool>/<label>/`` copy (the portfolio's strategies run
+    as executor tasks, in-process at jobs=1)."""
+    return sum(value for key, value in reg.snapshot()["counters"].items()
+               if key == name or key.endswith("/" + name))
+
+
 class TestCacheEconomics:
     def test_portfolio_strategies_share_one_compilation(self):
         """A multi-strategy portfolio run compiles each distinct
@@ -113,23 +122,23 @@ class TestCacheEconomics:
         signature, not object identity)."""
         clear_template_cache()
         reg = obs.get_registry()
-        hits0 = reg.counter_value("template.hits")
-        compiles0 = reg.counter_value("template.compiles")
-        stamped0 = reg.counter_value("template.frames_stamped")
+        hits0 = _run_total(reg, "template.hits")
+        compiles0 = _run_total(reg, "template.compiles")
+        stamped0 = _run_total(reg, "template.frames_stamped")
         strategies = ("", "STRASH", "COM")
         prove(s27(), strategies=strategies)
-        hits1 = reg.counter_value("template.hits") - hits0
-        compiles1 = reg.counter_value("template.compiles") - compiles0
-        stamped1 = reg.counter_value("template.frames_stamped") - stamped0
+        hits1 = _run_total(reg, "template.hits") - hits0
+        compiles1 = _run_total(reg, "template.compiles") - compiles0
+        stamped1 = _run_total(reg, "template.frames_stamped") - stamped0
         assert compiles1 >= 1
         assert hits1 > 0
         assert stamped1 > 0
         # Second run over fresh objects: pure cache hits, zero
         # compiles.
         prove(s27(), strategies=strategies)
-        compiles2 = reg.counter_value("template.compiles") \
+        compiles2 = _run_total(reg, "template.compiles") \
             - compiles0 - compiles1
-        hits2 = reg.counter_value("template.hits") - hits0 - hits1
+        hits2 = _run_total(reg, "template.hits") - hits0 - hits1
         assert compiles2 == 0
         assert hits2 >= hits1 + compiles1
 

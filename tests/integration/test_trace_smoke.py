@@ -20,6 +20,7 @@ import pytest
 from repro.experiments.table1 import run as run_table1
 from repro.netlist import s27
 from repro.obs import trace
+from repro.options import use_options
 from repro.tools.trace import main as trace_main
 from repro.unroll import bmc
 
@@ -103,7 +104,7 @@ class TestBmcUnderTrace:
         bench.write_text(S27_BENCH)
         path = str(tmp_path / "cli.jsonl")
         env = dict(os.environ, REPRO_TRACE=path)
-        env.pop(trace.TRACE_ID_ENV, None)
+        env.pop("REPRO_TRACE_ID", None)
         src = os.path.join(os.path.dirname(__file__), "..", "..",
                            "src")
         env["PYTHONPATH"] = os.path.abspath(src)
@@ -128,19 +129,17 @@ class TestBmcUnderTrace:
 
 @pytest.mark.parallel
 class TestJobs2Stitching:
-    def test_table_jobs2_stitches_into_one_timeline(
-            self, tmp_path, monkeypatch):
+    def test_table_jobs2_stitches_into_one_timeline(self, tmp_path):
         base = str(tmp_path / "table.jsonl")
-        monkeypatch.setenv(trace.TRACE_ENV, base)
-        monkeypatch.delenv(trace.TRACE_ID_ENV, raising=False)
-        sink = trace.trace_from_env()
-        assert sink is not None
-        # The table pipeline exercises the COM sweep in the workers;
-        # a tiny BMC under the same parent trace covers the BMC frame
-        # events the acceptance criteria name.
-        bmc(s27(), max_depth=3)
-        run_table1(scale=0.1, designs=["S27", "S298"], jobs=2)
-        trace.stop_trace()
+        with use_options(trace=base, trace_id=None):
+            sink = trace.trace_from_env()
+            assert sink is not None
+            # The table pipeline exercises the COM sweep in the
+            # workers; a tiny BMC under the same parent trace covers
+            # the BMC frame events the acceptance criteria name.
+            bmc(s27(), max_depth=3)
+            run_table1(scale=0.1, designs=["S27", "S298"], jobs=2)
+            trace.stop_trace()
 
         paths = trace.discover_trace_files(base)
         assert len(paths) >= 2, \

@@ -6,8 +6,8 @@ search:
 * a brute-force enumerator decides every small instance (under its
   assumption literals) and must agree with the verdict;
 * every SAT model must satisfy every clause and every assumption;
-* every UNSAT verdict is logged under ``use_proofs(True)`` and its
-  proof must pass :func:`repro.cert.drat.check_proof`.
+* every UNSAT verdict is logged under ``use_options(sat_proof=True)``
+  and its proof must pass :func:`repro.cert.drat.check_proof`.
 
 Instance shapes mirror real callers: one-shot random 3-CNF, the
 incremental clause-add/solve interleave of SAT sweeping, the
@@ -30,15 +30,13 @@ import pytest
 
 from repro.cert.drat import check_proof
 from repro.cert.proof import clause_key
+from repro.options import use_options
 from repro.resilience import EXHAUSTED_CONFLICTS
 from repro.sat import (
     SAT,
     UNKNOWN,
     UNSAT,
     Solver,
-    use_proofs,
-    use_sat_profile,
-    use_simplify,
 )
 from repro.sat.simplify import simplify_round
 
@@ -89,7 +87,7 @@ def check_model(model, clauses):
 
 
 def certified_solver(num_vars):
-    with use_proofs(True):
+    with use_options(sat_proof=True):
         solver = Solver()
     solver.new_vars(num_vars)
     return solver
@@ -144,7 +142,7 @@ class TestOneShotEquivalence:
         # learnt clause the log does not know about would be an
         # uncertified inference.  Inprocessing is off so that every
         # ``a``/``d`` event belongs to a learnt clause.
-        with use_simplify(False):
+        with use_options(sat_simplify=False):
             solver = certified_solver(30)
         clauses = php_clauses(6, 5)
         for clause in clauses:
@@ -359,7 +357,8 @@ SCRIPTS = {"3cnf": script_3cnf, "incremental": script_incremental,
 def trajectory(num_vars, script):
     """``(result, last_call_stats)`` per solve, then the final
     ``stats()``; inprocessing on, proofs and profiling off."""
-    with use_simplify(True), use_proofs(False), use_sat_profile(False):
+    with use_options(sat_simplify=True, sat_proof=False,
+                     sat_profile=False):
         solver = Solver()
     solver.new_vars(num_vars)
     steps = []

@@ -16,13 +16,13 @@ from repro.cert import (
     certify_unsat,
     certify_witness,
     check_events,
-    set_certification_enabled,
     use_certification,
 )
 from repro.cert.drat import check_proof
 from repro.cert.witness import replay_witness
 from repro.netlist import NetlistBuilder
-from repro.sat import Solver, UNSAT, use_proofs
+from repro.options import use_options
+from repro.sat import Solver, UNSAT
 from repro.unroll import bmc
 
 
@@ -262,7 +262,7 @@ class TestChecker:
 
 class TestSolverProofIntegration:
     def test_solver_unsat_proof_checks(self):
-        with use_proofs(True):
+        with use_options(sat_proof=True):
             solver = Solver()
         # Pigeonhole PHP(3,2): 3 pigeons, 2 holes.
         holes = {(p, h): 2 * (p * 2 + h)
@@ -322,11 +322,9 @@ class TestCertifyEntryPoints:
                 assert not certification_enabled()
             assert certification_enabled()
         assert not certification_enabled()
-        set_certification_enabled(True)
-        try:
+        with use_options(certification=True):
             assert certification_enabled()
-        finally:
-            set_certification_enabled(False)
+        assert not certification_enabled()
 
     def test_certify_unsat_requires_proof_log(self):
         solver = Solver()  # proofs off: nothing to check

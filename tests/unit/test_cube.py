@@ -13,6 +13,7 @@ import random
 import pytest
 
 from repro import obs
+from repro.options import Options, current, use_options
 from repro.parallel import WorkerOutcome
 from repro.resilience import (
     Budget,
@@ -24,18 +25,14 @@ from repro.resilience import (
 from repro.resilience.errors import EXHAUSTED_CONFLICTS
 from repro.sat import SAT, UNKNOWN, UNSAT, Solver
 from repro.sat.cnf import neg, pos
+from repro.sat import cube as cube_mod
 from repro.sat.cube import (
-    CubeConfig,
-    cube_config,
     cube_solve,
     cubes_enabled,
     generate_cubes,
     join_cubes,
     score_variables,
-    set_cubes_enabled,
     solve_cubes,
-    use_cube_config,
-    use_cubes,
 )
 
 
@@ -96,33 +93,34 @@ class TestToggles:
         assert not cubes_enabled()
 
     def test_set_returns_previous(self):
-        assert set_cubes_enabled(True) is False
-        try:
-            assert cubes_enabled()
-        finally:
-            set_cubes_enabled(False)
+        # The scope yields the options it installed; leaving it
+        # restores the previous ones.
+        previous = current()
+        with use_options(cubes=True) as options:
+            assert options.cubes and cubes_enabled()
+        assert current() is previous
 
     def test_use_cubes_scoped(self):
-        with use_cubes(True):
+        with use_options(cubes=True):
             assert cubes_enabled()
         assert not cubes_enabled()
 
     def test_use_cube_config_scoped(self):
-        baseline = cube_config()
-        with use_cube_config(cube_vars=7, jobs=3):
-            assert cube_config().cube_vars == 7
-            assert cube_config().jobs == 3
-        assert cube_config() == baseline
+        baseline = current()
+        with use_options(cube_vars=7, cube_jobs=3):
+            assert current().cube_vars == 7
+            assert current().cube_jobs == 3
+        assert current() == baseline
 
     def test_config_is_frozen(self):
         with pytest.raises(Exception):
-            cube_config().cube_vars = 9
+            current().cube_vars = 9
 
     def test_defaults(self):
-        cfg = CubeConfig()
+        cfg = Options()
         assert cfg.cube_vars == 3
-        assert cfg.conflict_threshold == 1500
-        assert cfg.jobs == 1
+        assert cfg.cube_conflicts == 1500
+        assert cfg.cube_jobs == 1
 
 
 class TestScoring:
@@ -265,7 +263,7 @@ class TestJoinPrecedence:
 class TestCubeSolveGating:
     def test_easy_query_never_splits(self):
         clauses = [[pos(0)], [pos(0), pos(1)]]
-        with use_cube_config(conflict_threshold=1000, jobs=1):
+        with use_options(cube_conflicts=1000, cube_jobs=1):
             attempt = cube_solve(_solver_for(clauses), [],
                                  {"mode": "cnf", "clauses": clauses})
         assert not attempt.used_cubes
@@ -274,8 +272,8 @@ class TestCubeSolveGating:
     def test_hard_unsat_query_engages_and_matches_plain(self):
         clauses = php_clauses(3)
         assert _solver_for(clauses).solve([]) == UNSAT
-        with use_cube_config(conflict_threshold=1, cube_vars=2,
-                             jobs=1):
+        with use_options(cube_conflicts=1, cube_vars=2,
+                         cube_jobs=1):
             with obs.scoped(obs.Registry("t")) as reg:
                 attempt = cube_solve(_solver_for(clauses), [],
                                      {"mode": "cnf",
@@ -290,8 +288,8 @@ class TestCubeSolveGating:
     def test_hard_sat_query_engages_and_matches_plain(self):
         clauses = hard_sat_clauses()
         assert _solver_for(clauses).solve([]) == SAT
-        with use_cube_config(conflict_threshold=1, cube_vars=2,
-                             jobs=1):
+        with use_options(cube_conflicts=1, cube_vars=2,
+                         cube_jobs=1):
             attempt = cube_solve(_solver_for(clauses), [],
                                  {"mode": "cnf", "clauses": clauses})
         assert attempt.used_cubes
@@ -302,7 +300,7 @@ class TestCubeSolveGating:
         # The caller's own cap was the binding limit: report exactly
         # what the plain path would have, no fan-out.
         clauses = php_clauses(3)
-        with use_cube_config(conflict_threshold=1000, jobs=1):
+        with use_options(cube_conflicts=1000, cube_jobs=1):
             attempt = cube_solve(_solver_for(clauses), [],
                                  {"mode": "cnf", "clauses": clauses},
                                  conflict_budget=1)
@@ -313,7 +311,7 @@ class TestCubeSolveGating:
     def test_exhausted_parent_budget_suppresses_the_split(self):
         clauses = php_clauses(3)
         budget = Budget(wall_seconds=0.0, name="spent")
-        with use_cube_config(conflict_threshold=1, jobs=1):
+        with use_options(cube_conflicts=1, cube_jobs=1):
             attempt = cube_solve(_solver_for(clauses), [],
                                  {"mode": "cnf", "clauses": clauses},
                                  budget=budget)
@@ -324,8 +322,8 @@ class TestCubeSolveGating:
         # generate_cubes exclusion test); end to end, the verdict
         # under an assumption must match the plain assumed solve.
         clauses = php_clauses(3)
-        with use_cube_config(conflict_threshold=1, cube_vars=2,
-                             jobs=1):
+        with use_options(cube_conflicts=1, cube_vars=2,
+                         cube_jobs=1):
             attempt = cube_solve(_solver_for(clauses), [neg(0)],
                                  {"mode": "cnf", "clauses": clauses,
                                   "assumptions": [neg(0)]})
@@ -333,10 +331,12 @@ class TestCubeSolveGating:
 
 
 class TestLearnedSharing:
-    def test_unsat_join_feeds_lemmas_back_when_enabled(self):
+    def test_unsat_join_feeds_lemmas_back_when_enabled(self,
+                                                        monkeypatch):
         clauses = php_clauses(3)
-        with use_cube_config(conflict_threshold=1, cube_vars=2, jobs=1,
-                             share_learned=True, share_max_len=12):
+        monkeypatch.setattr(cube_mod, "SHARE_MAX_LEN", 12)
+        with use_options(cube_conflicts=1, cube_vars=2, cube_jobs=1,
+                         cube_share=True):
             with obs.scoped(obs.Registry("t")) as reg:
                 solver = _solver_for(clauses)
                 attempt = cube_solve(solver, [],
@@ -350,16 +350,16 @@ class TestLearnedSharing:
         # the feedback (shared lemmas are consequences, not axioms).
         assert solver.solve([]) == UNSAT
 
-    def test_sharing_disabled_while_certifying(self):
+    def test_sharing_disabled_while_certifying(self, monkeypatch):
         # Injected lemmas are not axioms of the DRAT log, so the
         # certified path must never request clause collection.
         clauses = php_clauses(3)
-        with use_cube_config(conflict_threshold=1, cube_vars=2, jobs=1,
-                             share_learned=True, share_max_len=12):
+        monkeypatch.setattr(cube_mod, "SHARE_MAX_LEN", 12)
+        with use_options(cube_conflicts=1, cube_vars=2, cube_jobs=1,
+                         cube_share=True, certification=True):
             solver = _solver_for(clauses)
             attempt = cube_solve(solver, [],
-                                 {"mode": "cnf", "clauses": clauses,
-                                  "certify": True})
+                                 {"mode": "cnf", "clauses": clauses})
         assert attempt.used_cubes
         assert attempt.result == UNSAT
         assert attempt.join.learned == []

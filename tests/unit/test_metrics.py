@@ -1,7 +1,6 @@
 """Unit tests for the metrics layer (repro.obs.metrics)."""
 
 import json
-import os
 import time
 
 import pytest
@@ -9,7 +8,13 @@ import pytest
 from repro import obs
 from repro.netlist import NetlistBuilder
 from repro.obs import metrics as M
+from repro.parallel import ParallelExecutor
 from repro.sat import SAT, Solver
+
+
+def _metrics_in_task(payload, budget):
+    """A pool task reporting whether metrics are on where it runs."""
+    return M.metrics_enabled()
 
 
 @pytest.fixture
@@ -327,14 +332,16 @@ class TestToggle:
         M.record_query(engine="x")
         assert "metrics" not in fresh_registry.snapshot()
 
-    def test_set_exports_env_for_workers(self):
-        prev = M.set_metrics_enabled(True)
-        try:
-            assert os.environ.get(M.METRICS_ENV) == "1"
-        finally:
-            M.set_metrics_enabled(prev)
-        if not prev:
-            assert M.METRICS_ENV not in os.environ
+    @pytest.mark.parallel
+    def test_enabled_metrics_reach_workers(self):
+        # The option travels with every pool task, so worker shards
+        # record too (a jobs=2 run would otherwise merge empty worker
+        # histograms and under-count every quantile).
+        with M.use_metrics(True):
+            outcomes = ParallelExecutor(jobs=2).map(_metrics_in_task,
+                                                    [0, 1])
+        assert [o.value for o in outcomes] == [True, True]
+        assert not M.metrics_enabled()
 
     def test_use_metrics_restores(self):
         before = M.metrics_enabled()

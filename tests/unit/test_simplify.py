@@ -3,15 +3,12 @@
 import pytest
 
 from repro.cert.drat import check_proof
+from repro.options import use_options
 from repro.sat import (
     SAT,
     UNSAT,
     Solver,
-    set_debug_checks,
-    set_simplify_enabled,
     simplify_enabled,
-    use_proofs,
-    use_simplify,
 )
 from repro.sat.simplify import (
     BVE_MAX_OCC,
@@ -210,7 +207,7 @@ class TestVariableElimination:
 
 class TestCertifiedSimplification:
     def test_unsat_after_explicit_round_proof_checks(self):
-        with use_proofs(True):
+        with use_options(sat_proof=True):
             s = Solver()
         php_clauses(s, 3, 2)
         # Fodder over fresh variables so the round exercises
@@ -231,7 +228,7 @@ class TestCertifiedSimplification:
         # Large enough to restart and fire rounds naturally inside
         # solve(); the checker must accept the interleaved
         # subsumption/strengthening/elimination proof lines.
-        with use_proofs(True):
+        with use_options(sat_proof=True):
             s = Solver()
         s._use_simplify = True
         php_clauses(s, 6, 5)
@@ -279,21 +276,18 @@ class TestStatsMidLifetime:
 
 class TestDebugWatchInvariant:
     def test_watches_hold_after_strengthening_rounds(self):
-        previous = set_debug_checks(True)
-        try:
+        with use_options(sat_debug=True):
             s = Solver()
-            s._use_simplify = True
-            s.new_vars(4)
-            s.add_clause([P(0), P(1), P(2)])
-            s.add_clause([N(0), P(1), P(3)])
-            s.add_clause([P(0), P(1)])
-            assert simplify_round(s)
-            s._debug_check_watches()
-            php_clauses(s, 6, 5)
-            assert s.solve() == UNSAT  # rounds + reduce_db sweeps run
-            s._debug_check_watches()
-        finally:
-            set_debug_checks(previous)
+        s._use_simplify = True
+        s.new_vars(4)
+        s.add_clause([P(0), P(1), P(2)])
+        s.add_clause([N(0), P(1), P(3)])
+        s.add_clause([P(0), P(1)])
+        assert simplify_round(s)
+        s._debug_check_watches()
+        php_clauses(s, 6, 5)
+        assert s.solve() == UNSAT  # rounds + reduce_db sweeps run
+        s._debug_check_watches()
 
     def test_corrupted_watcher_is_detected(self):
         s = Solver()
@@ -311,22 +305,20 @@ class TestDebugWatchInvariant:
 class TestToggleAndFacade:
     def test_toggle_roundtrip(self):
         original = simplify_enabled()
-        try:
-            set_simplify_enabled(False)
+        with use_options(sat_simplify=False):
             assert not simplify_enabled()
-            with use_simplify(True):
+            with use_options(sat_simplify=True):
                 assert simplify_enabled()
                 s = Solver()
                 assert s._use_simplify
             assert not simplify_enabled()
             s = Solver()
             assert not s._use_simplify
-        finally:
-            set_simplify_enabled(original)
+        assert simplify_enabled() == original
 
     def test_verdicts_identical_with_and_without_simplify(self):
         def run(simp):
-            with use_simplify(simp):
+            with use_options(sat_simplify=simp):
                 s = Solver()
             php_clauses(s, 6, 5)
             return s.solve()

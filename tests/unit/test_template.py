@@ -15,6 +15,7 @@ import pytest
 
 from repro import obs
 from repro.netlist import NetlistBuilder, s27
+from repro.options import current, use_options
 from repro.sat import CNF, CnfSink, Solver, encode_frame, pos
 from repro.sat import template as tmpl_mod
 from repro.sat.template import (
@@ -27,10 +28,8 @@ from repro.sat.template import (
     compile_template,
     get_template,
     netlist_has_const0,
-    set_templates_enabled,
     template_cache_size,
     templates_enabled,
-    use_templates,
 )
 from repro.unroll import Unrolling
 
@@ -52,7 +51,7 @@ def solver_fingerprint(solver):
 
 def unrolling_fingerprint(net, frames, constrain_init, enabled):
     clear_template_cache()
-    with use_templates(enabled):
+    with use_options(templates=enabled):
         u = Unrolling(net, constrain_init=constrain_init)
         for t in range(frames):
             u.frame(t)
@@ -239,13 +238,12 @@ class TestCacheAndToggle:
 
     def test_toggle_set_and_scope(self):
         assert templates_enabled()  # default on
-        previous = set_templates_enabled(False)
-        assert previous is True
-        assert not templates_enabled()
-        with use_templates(True):
-            assert templates_enabled()
-        assert not templates_enabled()
-        set_templates_enabled(True)
+        with use_options(templates=False):
+            assert not templates_enabled()
+            with use_options(templates=True):
+                assert templates_enabled()
+            assert not templates_enabled()
+        assert current().templates
 
     def test_env_var_disables_templates(self):
         env = dict(os.environ)

@@ -10,6 +10,7 @@ import pytest
 from repro import obs
 from repro.obs import trace
 from repro.obs import registry as obs_registry
+from repro.options import current, use_options
 
 
 @pytest.fixture(autouse=True)
@@ -316,34 +317,30 @@ class TestProgress:
 
 
 class TestEnvActivation:
-    def test_trace_from_env_installs_and_publishes_id(
-            self, tmp_path, monkeypatch):
+    def test_trace_from_env_installs_and_publishes_id(self, tmp_path):
         path = str(tmp_path / "t.jsonl")
-        monkeypatch.setenv(trace.TRACE_ENV, path)
-        monkeypatch.delenv(trace.TRACE_ID_ENV, raising=False)
-        sink = trace.trace_from_env()
-        assert sink is not None
-        assert os.environ[trace.TRACE_ID_ENV] == sink.trace_id
-        assert trace.trace_from_env() is None  # already active
+        with use_options(trace=path, trace_id=None):
+            sink = trace.trace_from_env()
+            assert sink is not None
+            assert current().trace_id == sink.trace_id
+            assert trace.trace_from_env() is None  # already active
 
-    def test_trace_from_env_noop_when_unset(self, monkeypatch):
-        monkeypatch.delenv(trace.TRACE_ENV, raising=False)
-        assert trace.trace_from_env() is None
+    def test_trace_from_env_noop_when_unset(self):
+        with use_options(trace=None):
+            assert trace.trace_from_env() is None
         assert trace.active_sink() is None
 
-    def test_worker_sink_joins_parent_trace(self, tmp_path,
-                                            monkeypatch):
+    def test_worker_sink_joins_parent_trace(self, tmp_path):
         base = str(tmp_path / "t.jsonl")
-        monkeypatch.setenv(trace.TRACE_ENV, base)
-        monkeypatch.setenv(trace.TRACE_ID_ENV, "abc123")
-        # Simulate a forked child that inherited the parent's sink
-        # object: same-pid sinks are left alone ...
-        parent = trace.start_trace(base, trace_id="abc123")
-        assert trace.open_worker_sink() is None
-        # ... but a sink whose recorded pid differs must be replaced
-        # by a fresh per-process file.
-        parent.pid = os.getpid() + 1  # fake "inherited from parent"
-        worker = trace.open_worker_sink()
+        with use_options(trace=base, trace_id="abc123"):
+            # Simulate a forked child that inherited the parent's sink
+            # object: same-pid sinks are left alone ...
+            parent = trace.start_trace(base, trace_id="abc123")
+            assert trace.open_worker_sink() is None
+            # ... but a sink whose recorded pid differs must be
+            # replaced by a fresh per-process file.
+            parent.pid = os.getpid() + 1  # fake "inherited from parent"
+            worker = trace.open_worker_sink()
         assert worker is not None
         assert worker.path == f"{base}.{os.getpid()}"
         assert worker.trace_id == "abc123"
@@ -352,38 +349,35 @@ class TestEnvActivation:
         assert not parent.closed
         worker.close()
 
-    def test_worker_sink_noop_without_env(self, monkeypatch):
-        monkeypatch.delenv(trace.TRACE_ENV, raising=False)
-        assert trace.open_worker_sink() is None
+    def test_worker_sink_noop_without_env(self):
+        with use_options(trace=None):
+            assert trace.open_worker_sink() is None
 
-    def test_programmatic_start_exports_env(self, tmp_path,
-                                            monkeypatch):
-        # Review regression: a programmatic start_trace() must export
-        # the base path and trace id so later-spawned pool workers
-        # (open_worker_sink reads the environment) join the trace.
-        monkeypatch.delenv(trace.TRACE_ENV, raising=False)
-        monkeypatch.delenv(trace.TRACE_ID_ENV, raising=False)
+    def test_programmatic_start_ships_trace_to_workers(self, tmp_path):
+        # Review regression: a programmatic start_trace() must publish
+        # the base path and trace id in the options that travel with
+        # pool tasks, so later-submitted workers join the trace.
         path = str(tmp_path / "t.jsonl")
         sink = trace.start_trace(path)
-        assert os.environ[trace.TRACE_ENV] == path
-        assert os.environ[trace.TRACE_ID_ENV] == sink.trace_id
-        # stop_trace() un-exports, so a later run in this process
+        assert current().trace == path
+        assert current().trace_id == sink.trace_id
+        # stop_trace() clears them, so a later run in this process
         # cannot silently resume the finished trace ...
         assert trace.stop_trace() == path
-        assert trace.TRACE_ENV not in os.environ
-        assert trace.TRACE_ID_ENV not in os.environ
+        assert current().trace is None
+        assert current().trace_id is None
 
-    def test_stop_trace_leaves_foreign_env_alone(self, tmp_path,
-                                                 monkeypatch):
-        # ... but only when the variables still point at *this* sink
-        # (a worker stopping its per-pid sink must not strip the
-        # parent's base path from the inherited environment).
+    def test_stop_trace_leaves_foreign_trace_option_alone(self,
+                                                          tmp_path):
+        # ... but only when the options still point at *this* sink (a
+        # worker stopping its per-pid sink must not strip the
+        # parent's base path from the options it runs under).
         base = str(tmp_path / "parent.jsonl")
-        monkeypatch.setenv(trace.TRACE_ENV, base)
-        sink = trace.TraceSink(str(tmp_path / "other.jsonl"))
-        obs_registry._set_trace_sink(sink)
-        trace.stop_trace()
-        assert os.environ[trace.TRACE_ENV] == base
+        with use_options(trace=base):
+            sink = trace.TraceSink(str(tmp_path / "other.jsonl"))
+            obs_registry._set_trace_sink(sink)
+            trace.stop_trace()
+            assert current().trace == base
 
 
 class TestStitchAndExport:
